@@ -218,48 +218,54 @@ let bench_admission_scale =
 
 (* --- server: the daemon's decide path ------------------------------------------ *)
 
-(* The serve daemon's per-request cost with the socket and the fsync
-   taken out: parse the wire line, decide through the replica, encode
-   the WAL records, frame the response.  The fsync is deliberately
-   excluded — group commit amortizes it across a batch, so the
-   per-request cost the daemon's RTT is built from is exactly this
-   path.  Each decide iteration admits and then releases the same
-   probe, so the warmed ledger returns to its starting size and every
+(* The fixture both server groups share: a replica warmed with 24
+   admitted computations, and a probe each iteration admits and then
+   releases, so the warmed ledger returns to its starting size and every
    iteration measures the identical transition. *)
-let bench_server_decide =
-  let module Wire = Rota_server.Wire in
-  let module Replica = Rota_server.Replica in
-  let module Events = Rota_obs.Events in
-  let module Binary = Rota_obs.Binary in
-  let module Certificate = Rota.Certificate in
+module Serve_fixture = struct
+  module Wire = Rota_server.Wire
+  module Replica = Rota_server.Replica
+  module Events = Rota_obs.Events
+
   let params =
     { Scenario.default_params with seed = 31; arrivals = 24; horizon = 400;
       locations = 2; slack = 3.0 }
-  in
+
   let warmed () =
     let r = Replica.create Admission.Rota in
     ignore
       (Replica.apply r
          (Wire.Join
             { now = 0;
-              terms = Certificate.rects_of_set (Scenario.capacity_of params) }));
+              terms = Rota.Certificate.rects_of_set (Scenario.capacity_of params) }));
     List.iter
       (fun c ->
         ignore
           (Replica.apply r (Wire.Admit { now = 0; computation = c; budget_ms = None })))
       (Scenario.computations params);
     r
-  in
+
   let probe =
     List.hd (Scenario.computations { params with seed = 77; arrivals = 1 })
-  in
-  let admit_op = Wire.Admit { now = 0; computation = probe; budget_ms = None } in
-  let release_op = Wire.Release { now = 0; id = probe.Computation.id } in
-  let admit_line =
-    Wire.request_to_line { Wire.tag = Rota_obs.Json.Null; op = admit_op }
-  in
+
+  let admit_op = Wire.Admit { now = 0; computation = probe; budget_ms = None }
+  let release_op = Wire.Release { now = 0; id = probe.Computation.id }
+
   let stamp payload =
     { Events.seq = 1; run = 1; sim = Some 0; wall_s = 0.; payload }
+end
+
+(* The serve daemon's per-request cost with the socket and the fsync
+   taken out: parse the wire line, decide through the replica, encode
+   the WAL records, frame the response.  The fsync is deliberately
+   excluded — group commit amortizes it across a batch, so the
+   per-request cost the daemon's RTT is built from is exactly this
+   path. *)
+let bench_server_decide =
+  let open Serve_fixture in
+  let module Binary = Rota_obs.Binary in
+  let admit_line =
+    Wire.request_to_line { Wire.tag = Rota_obs.Json.Null; op = admit_op }
   in
   Test.make_grouped ~name:"server/decide-rtt"
     [
@@ -305,39 +311,10 @@ let bench_server_decide =
    holds the instrumented run within 10% of bare: telemetry must stay a
    rounding error next to the decision itself. *)
 let bench_telemetry_overhead =
-  let module Wire = Rota_server.Wire in
-  let module Replica = Rota_server.Replica in
+  let open Serve_fixture in
   let module Telemetry = Rota_server.Telemetry in
   let module Metrics = Rota_obs.Metrics in
-  let module Events = Rota_obs.Events in
   let module Binary = Rota_obs.Binary in
-  let module Certificate = Rota.Certificate in
-  let params =
-    { Scenario.default_params with seed = 31; arrivals = 24; horizon = 400;
-      locations = 2; slack = 3.0 }
-  in
-  let warmed () =
-    let r = Replica.create Admission.Rota in
-    ignore
-      (Replica.apply r
-         (Wire.Join
-            { now = 0;
-              terms = Certificate.rects_of_set (Scenario.capacity_of params) }));
-    List.iter
-      (fun c ->
-        ignore
-          (Replica.apply r (Wire.Admit { now = 0; computation = c; budget_ms = None })))
-      (Scenario.computations params);
-    r
-  in
-  let probe =
-    List.hd (Scenario.computations { params with seed = 77; arrivals = 1 })
-  in
-  let admit_op = Wire.Admit { now = 0; computation = probe; budget_ms = None } in
-  let release_op = Wire.Release { now = 0; id = probe.Computation.id } in
-  let stamp payload =
-    { Events.seq = 1; run = 1; sim = Some 0; wall_s = 0.; payload }
-  in
   (* One request exactly as the daemon runs it; [enabled] is flipped
      inside the measured closure so both arms pay the same flag cost. *)
   let request_path enabled =
@@ -491,8 +468,15 @@ let bench_obs_overhead =
            sim = Some 7;
            wall_s = 1754500000.0625;
            payload =
-             Rota_obs.Events.Admitted
-               { id = "c001"; policy = "rota"; reason = "reservation committed" };
+             Rota_obs.Events.Decision
+               {
+                 id = "c001";
+                 policy = "rota";
+                 action = "admit";
+                 slug = "reservation-committed-theorem-4";
+                 certificate = Rota_obs.Json.Null;
+                 cid = None;
+               };
          }
        in
        let per_line = Rota_obs.Sink.jsonl devnull in

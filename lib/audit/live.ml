@@ -332,8 +332,7 @@ let step t (e : Events.t) =
      re-auditing a watchdogged trace must reproduce the original
      verdicts, and a watchdog observing its own emission must not
      recurse. *)
-  | Events.Audit_divergence _
-  | Events.Admitted _ | Events.Rejected _ | Events.Shed _
+  | Events.Audit_divergence _ | Events.Shed _
   | Events.Repaired _ | Events.Anomaly _ | Events.Span _
   | Events.Metric_sample _ | Events.Hist_sample _ | Events.Unknown _ ->
       None

@@ -7,7 +7,7 @@
      begin timestamp and duration, with the id/parent linkage and depth
      carried in args — nesting on the track follows from parent slices
      enclosing their children in time;
-   - instantaneous engine events (admitted, killed, ...) become instant
+   - instantaneous engine events (decision, killed, ...) become instant
      ("i") marks on tid 2, with the simulated time and payload fields
      in args;
    - metric samples become counter ("C") events, one counter track per
@@ -131,14 +131,6 @@ let export events =
           instant e
             (Printf.sprintf "decision %s %s" action id)
             [ ("policy", Json.String policy); ("slug", Json.String slug) ]
-      | Events.Admitted { id; policy; reason } ->
-          instant e
-            (Printf.sprintf "admitted %s" id)
-            [ ("policy", Json.String policy); ("reason", Json.String reason) ]
-      | Events.Rejected { id; policy; reason } ->
-          instant e
-            (Printf.sprintf "rejected %s" id)
-            [ ("policy", Json.String policy); ("reason", Json.String reason) ]
       | Events.Shed { id; slug; reason } ->
           instant e
             (Printf.sprintf "shed %s" id)

@@ -1,8 +1,6 @@
 type payload =
   | Run_started of { label : string }
   | Capacity_joined of { quantity : int; terms : Json.t }
-  | Admitted of { id : string; policy : string; reason : string }
-  | Rejected of { id : string; policy : string; reason : string }
   | Decision of {
       id : string;
       policy : string;
@@ -58,8 +56,6 @@ type t = {
 let kind = function
   | Run_started _ -> "run-started"
   | Capacity_joined _ -> "capacity-joined"
-  | Admitted _ -> "admitted"
-  | Rejected _ -> "rejected"
   | Decision _ -> "decision"
   | Shed _ -> "shed"
   | Completed _ -> "completed"
@@ -86,12 +82,6 @@ let payload_fields = function
   | Run_started { label } -> [ ("label", Json.String label) ]
   | Capacity_joined { quantity; terms } ->
       ("quantity", Json.Int quantity) :: opt_json "terms" terms []
-  | Admitted { id; policy; reason } | Rejected { id; policy; reason } ->
-      [
-        ("id", Json.String id);
-        ("policy", Json.String policy);
-        ("reason", Json.String reason);
-      ]
   | Decision { id; policy; action; slug; certificate; cid } ->
       ("id", Json.String id)
       :: ("policy", Json.String policy)
@@ -197,6 +187,11 @@ let bool_field name json =
   | Some (Json.Bool b) -> Ok b
   | Some _ -> Error (Printf.sprintf "field %S is not a boolean" name)
 
+(* Older binaries logged every admit/reject twice, once under one of
+   these kinds and once as its [decision] record.  They are read (as
+   [Unknown], which every consumer ignores) and never written. *)
+let retired_kind = function "admitted" | "rejected" -> true | _ -> false
+
 let payload_of_json ~strict ~wall_s json =
   let* k = field "kind" Json.to_str json in
   match k with
@@ -226,13 +221,6 @@ let payload_of_json ~strict ~wall_s json =
       let* slug = field "slug" Json.to_str json in
       let* reason = field "reason" Json.to_str json in
       Ok (Shed { id; slug; reason })
-  | "admitted" | "rejected" ->
-      let* id = field "id" Json.to_str json in
-      let* policy = field "policy" Json.to_str json in
-      let* reason = field "reason" Json.to_str json in
-      Ok
-        (if k = "admitted" then Admitted { id; policy; reason }
-         else Rejected { id; policy; reason })
   | "completed" ->
       let* id = field "id" Json.to_str json in
       Ok (Completed { id })
@@ -320,7 +308,8 @@ let payload_of_json ~strict ~wall_s json =
       let* message = field "message" Json.to_str json in
       Ok (Audit_divergence { id; action; of_seq; message })
   | k ->
-      if strict then Error (Printf.sprintf "unknown event kind %S" k)
+      if strict && not (retired_kind k) then
+        Error (Printf.sprintf "unknown event kind %S" k)
       else
         let fields =
           match json with
@@ -348,7 +337,7 @@ let of_line ?strict line =
   let* json = Json.parse line in
   of_json ?strict json
 
-let pp_payload ~sim ppf payload =
+let pp ppf { sim; payload; _ } =
   let pp_sim ppf = function
     | Some t -> Format.fprintf ppf "t%d" t
     | None -> Format.pp_print_string ppf "t-"
@@ -358,10 +347,6 @@ let pp_payload ~sim ppf payload =
       Format.fprintf ppf "%a run started: %s" pp_sim sim label
   | Capacity_joined { quantity; terms = _ } ->
       Format.fprintf ppf "%a capacity +%d" pp_sim sim quantity
-  | Admitted { id; policy = _; reason = _ } ->
-      Format.fprintf ppf "%a admitted %s" pp_sim sim id
-  | Rejected { id; policy = _; reason } ->
-      Format.fprintf ppf "%a rejected %s (%s)" pp_sim sim id reason
   | Decision { id; policy = _; action; slug; certificate; cid = _ } ->
       Format.fprintf ppf "%a decision %s %s [%s]%s" pp_sim sim action id slug
         (if certificate = Json.Null then "" else " certified")
@@ -401,5 +386,3 @@ let pp_payload ~sim ppf payload =
       Format.fprintf ppf "%a AUDIT DIVERGENCE %s %s (seq %d): %s" pp_sim sim
         action id of_seq message
   | Unknown { kind; _ } -> Format.fprintf ppf "%a ? %s" pp_sim sim kind
-
-let pp ppf e = pp_payload ~sim:e.sim ppf e.payload

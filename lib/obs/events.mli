@@ -22,8 +22,6 @@ type payload =
           usable quantity within the run's horizon.  [terms] is the
           joined slice as profile rectangles (the certificate [rect]
           list encoding), [Null] in traces from older binaries. *)
-  | Admitted of { id : string; policy : string; reason : string }
-  | Rejected of { id : string; policy : string; reason : string }
   | Decision of {
       id : string;
       policy : string;
@@ -46,8 +44,7 @@ type payload =
     }
       (** Decision provenance: every admission-control verdict (admit,
           reject, evict, repair) with its machine-checkable certificate.
-          Emitted alongside the legacy {!Admitted}/{!Rejected} records,
-          which remain the human-readable telling. *)
+          Each verdict is logged exactly once, as this record. *)
   | Shed of { id : string; slug : string; reason : string }
       (** The serve daemon refused this request {e without} deciding it —
           load shedding, not admission control.  [slug] is the stable
@@ -146,8 +143,15 @@ type t = {
 }
 
 val kind : payload -> string
-(** The schema's [kind] discriminator ("run-started", "admitted", ...);
+(** The schema's [kind] discriminator ("run-started", "decision", ...);
     for {!Unknown} the preserved original kind. *)
+
+val retired_kind : string -> bool
+(** Whether [kind] is one this binary no longer writes but still reads:
+    ["admitted"] and ["rejected"], which older binaries logged next to
+    each admit/reject [decision] record.  They decode to {!Unknown}, and
+    the strict unknown-kind checks accept them, so old traces and WALs
+    keep validating. *)
 
 val payload_fields : payload -> (string * Json.t) list
 (** The payload's own JSON fields (everything {!to_json} adds beyond the
@@ -168,10 +172,6 @@ val to_line : t -> string
 val of_line : ?strict:bool -> string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
-(** Human-readable one-liner, e.g. ["t12 admitted c3 (reservation
-    committed)"]; simulated time prints as ["t-"] when absent. *)
-
-val pp_payload : sim:int option -> Format.formatter -> payload -> unit
-(** Same rendering given just a payload — the single formatting path
-    that both the engine's legacy pretty-printer and the console sink
-    go through. *)
+(** Human-readable one-liner, e.g. ["t12 decision admit c3
+    [reservation-committed-theorem-4] certified"]; simulated time prints
+    as ["t-"] when absent. *)

@@ -156,19 +156,6 @@ let of_events ?(top = 10) events =
       | Events.Run_started { label } -> a.a_label <- label
       | Events.Capacity_joined { quantity; _ } ->
           a.a_capacity <- a.a_capacity + quantity
-      | Events.Admitted { id; _ } ->
-          a.a_admitted <- a.a_admitted + 1;
-          Option.iter
-            (fun t -> Hashtbl.replace admit_time (e.Events.run, id) t)
-            e.Events.sim
-      (* Bucketed by the same slug the metrics counters use
-         (admission/reject_reason.<slug>), so the two tellings agree.
-         Counted from the legacy Rejected record, not the Decision
-         record that newer traces emit alongside it — counting both
-         would double every reject. *)
-      | Events.Rejected { reason; _ } ->
-          a.a_rejected <- a.a_rejected + 1;
-          merge_reasons a.a_reject_reasons [ (Slug.of_reason reason, 1) ]
       | Events.Completed { id } ->
           a.a_completed <- a.a_completed + 1;
           Option.iter
@@ -223,10 +210,24 @@ let of_events ?(top = 10) events =
             :: !cell
       (* Certificate coverage: a trace from an older binary carries
          decisions without certificates (or none at all) — the summary
-         makes that gap visible without running a full audit. *)
-      | Events.Decision { certificate; _ } ->
+         makes that gap visible without running a full audit.  Evict and
+         repair verdicts are about an already-admitted computation, so
+         only admit and reject move the admission counts.  Rejects are
+         bucketed by the same slug the metrics counters use
+         (admission/reject_reason.<slug>), so the two tellings agree. *)
+      | Events.Decision { id; action; slug; certificate; _ } -> (
           a.a_decisions <- a.a_decisions + 1;
-          if certificate <> Json.Null then a.a_certified <- a.a_certified + 1
+          if certificate <> Json.Null then a.a_certified <- a.a_certified + 1;
+          match action with
+          | "admit" ->
+              a.a_admitted <- a.a_admitted + 1;
+              Option.iter
+                (fun t -> Hashtbl.replace admit_time (e.Events.run, id) t)
+                e.Events.sim
+          | "reject" ->
+              a.a_rejected <- a.a_rejected + 1;
+              merge_reasons a.a_reject_reasons [ (slug, 1) ]
+          | _ -> ())
       | Events.Audit_divergence _ -> a.a_divergences <- a.a_divergences + 1
       (* Fault/repair lifecycle events don't change admission or
          completion counts; the repair counters reach the summary as

@@ -13,8 +13,8 @@ type run = {
   policy : string;  (** Parsed from a [policy=...] label token; [""] if absent. *)
   horizon : int option;  (** Parsed from a [horizon=...] label token. *)
   capacity : int;  (** Sum of capacity-joined quantities. *)
-  admitted : int;
-  rejected : int;
+  admitted : int;  (** [decision] records with action [admit]. *)
+  rejected : int;  (** [decision] records with action [reject]. *)
   completed : int;
   killed : int;  (** Deadline kills = deadline misses among admitted. *)
   owed : int;  (** Total quantity still unfinished at kill time. *)

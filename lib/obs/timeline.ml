@@ -62,8 +62,10 @@ let render ?(width = 60) events =
       | Events.Run_started { label } -> r.r_label <- label
       | Events.Capacity_joined { quantity; _ } ->
           r.r_joins <- (sim, quantity) :: r.r_joins
-      | Events.Admitted { id; _ } -> (comp r id).c_admit <- Some sim
-      | Events.Rejected { id; _ } -> (comp r id).c_reject <- Some sim
+      | Events.Decision { id; action = "admit"; _ } ->
+          (comp r id).c_admit <- Some sim
+      | Events.Decision { id; action = "reject"; _ } ->
+          (comp r id).c_reject <- Some sim
       | Events.Completed { id } -> (comp r id).c_end <- Some (sim, 'C')
       | Events.Killed { id; _ } -> (comp r id).c_end <- Some (sim, 'X')
       (* A preemption ends the computation's lane like a kill, just

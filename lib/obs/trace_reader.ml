@@ -68,6 +68,14 @@ let parse_line ?strict ~f acc n line =
 
 (* --- binary traces -------------------------------------------------------- *)
 
+(* Strict mode's complaint about a decoded binary record: its kind is
+   one this binary does not know (and not one it merely retired). *)
+let unknown_kind (e : Events.t) =
+  match e.Events.payload with
+  | Events.Unknown { kind; _ } when not (Events.retired_kind kind) ->
+      Some (Printf.sprintf "unknown event kind %S" kind)
+  | _ -> None
+
 (* The binary reader mirrors {!fold_file}'s contract with records in
    place of lines: "line" numbers are 1-based record ordinals, a
    crash-cut final record becomes the {!Truncated} tail (everything
@@ -89,14 +97,9 @@ let fold_binary ?(strict = false) path ~init ~f =
             | Binary.Cut bytes -> Ok (acc, Truncated { line = n; bytes })
             | Binary.Malformed message -> Error { line = n; message }
             | Binary.Event e -> (
-                match e.Events.payload with
-                | Events.Unknown { kind; _ } when strict ->
-                    Error
-                      {
-                        line = n;
-                        message = Printf.sprintf "unknown event kind %S" kind;
-                      }
-                | _ -> loop (f acc e) (n + 1))
+                match if strict then unknown_kind e else None with
+                | Some message -> Error { line = n; message }
+                | None -> loop (f acc e) (n + 1))
           in
           loop init 1)
 
@@ -246,14 +249,9 @@ module Follow = struct
           Ok (List.rev acc)
       | Binary.Malformed message -> Error { line = c.line; message }
       | Binary.Event e -> (
-          match e.Events.payload with
-          | Events.Unknown { kind; _ } when c.strict = Some true ->
-              Error
-                {
-                  line = c.line;
-                  message = Printf.sprintf "unknown event kind %S" kind;
-                }
-          | _ ->
+          match if c.strict = Some true then unknown_kind e else None with
+          | Some message -> Error { line = c.line; message }
+          | None ->
               c.line <- c.line + 1;
               loop (e :: acc))
     in
@@ -381,10 +379,7 @@ let validate_file ?(max_errors = 20) path =
                    report n "truncated final record (%d bytes)" bytes
                | Binary.Malformed msg -> report n "%s" msg
                | Binary.Event e ->
-                   (match e.Events.payload with
-                   | Events.Unknown { kind; _ } ->
-                       report n "unknown event kind %S" kind
-                   | _ -> ());
+                   Option.iter (report n "%s") (unknown_kind e);
                    check_event n e;
                    loop (n + 1)
              in

@@ -44,11 +44,15 @@ let config ?(max_queue = 512) ?(default_budget_ms = 250.) ?(snapshot_every = 512
 
 type conn = {
   fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  inbuf : Buffer.t;  (* the unterminated tail of the last read *)
   outq : string Queue.t;
   mutable out_off : int;  (* bytes of [Queue.peek outq] already written *)
   mutable alive : bool;
+  mutable refused : bool;
+      (* sent an over-long line: read no more, close once answered *)
 }
+
+let max_line_bytes = 1 lsl 20
 
 type work = Decide of Wire.op | Ready of Wire.reply
 
@@ -409,9 +413,9 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
           (* Accept whatever parses; every line becomes exactly one queue
              item — verdicts included — so responses leave in request
              order no matter how they were produced. *)
-          let handle_line conn line =
+          let handle_request conn parse =
             let recv = Unix.gettimeofday () in
-            let parsed = Wire.request_of_line line in
+            let parsed = parse () in
             let now = Unix.gettimeofday () in
             let cid = mint_cid () in
             let span = Tracer.alloc_span_id () in
@@ -453,21 +457,36 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
                         enqueued = now; budget_ms = None }
                       queue)
           in
+          (* Only the fresh bytes are scanned: [inbuf] holds just the
+             unterminated tail, never a newline, so splitting is linear
+             in the bytes read.  A line past [max_line_bytes] gets one
+             [Failed] reply, queued behind the connection's earlier
+             requests, and then the connection closes. *)
           let feed conn bytes n =
-            Buffer.add_subbytes conn.inbuf bytes 0 n;
-            let rec split () =
-              let s = Buffer.contents conn.inbuf in
-              match String.index_opt s '\n' with
-              | None -> ()
-              | Some i ->
-                  Buffer.clear conn.inbuf;
-                  Buffer.add_string conn.inbuf
-                    (String.sub s (i + 1) (String.length s - i - 1));
-                  let line = String.trim (String.sub s 0 i) in
-                  if line <> "" then handle_line conn line;
-                  split ()
+            let rec split start =
+              let stop =
+                match Bytes.index_from_opt bytes start '\n' with
+                | Some i when i < n -> i
+                | _ -> n
+              in
+              Buffer.add_subbytes conn.inbuf bytes start (stop - start);
+              if Buffer.length conn.inbuf > max_line_bytes then begin
+                conn.refused <- true;
+                Buffer.reset conn.inbuf;
+                handle_request conn (fun () ->
+                    Error
+                      (Printf.sprintf "request line exceeds %d bytes"
+                         max_line_bytes))
+              end
+              else if stop < n then begin
+                let line = String.trim (Buffer.contents conn.inbuf) in
+                Buffer.clear conn.inbuf;
+                if line <> "" then
+                  handle_request conn (fun () -> Wire.request_of_line line);
+                split (stop + 1)
+              end
             in
-            split ()
+            split 0
           in
           let decide item =
             match item.work with
@@ -666,7 +685,9 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
                   scrapes []
               @
               if reading then
-                Hashtbl.fold (fun fd _ acc -> fd :: acc) conns []
+                Hashtbl.fold
+                  (fun fd c acc -> if c.refused then acc else fd :: acc)
+                  conns []
               else []
             in
             let writes =
@@ -698,6 +719,7 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
                             outq = Queue.create ();
                             out_off = 0;
                             alive = true;
+                            refused = false;
                           };
                         accept_all ()
                     | exception
@@ -752,11 +774,19 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
                 | Some conn -> if not (write_some conn) then close_conn conn)
               writable;
             (* Whatever process_queue just produced should not wait for
-               the next select round on an idle socket. *)
+               the next select round on an idle socket.  A refused
+               connection closes once everything it was owed is out. *)
             Hashtbl.iter
               (fun _ conn ->
-                if not (Queue.is_empty conn.outq) then
-                  if not (write_some conn) then close_conn conn)
+                if (not (Queue.is_empty conn.outq)) && not (write_some conn)
+                then close_conn conn
+                else if
+                  conn.refused && Queue.is_empty conn.outq
+                  && not
+                       (Seq.exists
+                          (fun it -> it.conn == conn)
+                          (Queue.to_seq queue))
+                then close_conn conn)
               (Hashtbl.copy conns);
             if !since_snapshot >= cfg.snapshot_every then snapshot ();
             let drained =

@@ -42,6 +42,11 @@ open Import
 
 type address = Unix_socket of string | Tcp of string * int
 
+val max_line_bytes : int
+(** Longest request line a connection may send: 1 MiB.  A longer one,
+    terminated or not, gets one [Failed] reply after the replies the
+    connection is already owed, and then the connection closes. *)
+
 type config = {
   dir : string;  (** WAL + snapshot directory (created if missing). *)
   address : address;

@@ -32,24 +32,16 @@ let advance_to t at =
 
 let policy_label t = Admission.policy_name t.policy
 
-let decision_payloads ?cid t ~id ~action ~reason certificate =
-  let legacy =
-    if String.equal action "admit" then
-      Events.Admitted { id; policy = policy_label t; reason }
-    else Events.Rejected { id; policy = policy_label t; reason }
-  in
-  [
-    legacy;
-    Events.Decision
-      {
-        id;
-        policy = policy_label t;
-        action;
-        slug = Slug.of_reason reason;
-        certificate = Certificate.to_json certificate;
-        cid;
-      };
-  ]
+let decision ?cid t ~id ~action ~reason certificate =
+  Events.Decision
+    {
+      id;
+      policy = policy_label t;
+      action;
+      slug = Slug.of_reason reason;
+      certificate = Certificate.to_json certificate;
+      cid;
+    }
 
 let known t id =
   Calendar.find (Admission.calendar t.ctrl) ~computation:id <> None
@@ -65,7 +57,7 @@ let apply_admit ?cid t ~now ~computation =
   let action = if outcome.Admission.admitted then "admit" else "reject" in
   let reason = outcome.Admission.reason in
   let cert = Lazy.force outcome.Admission.certificate in
-  let payloads = decision_payloads ?cid t ~id ~action ~reason cert in
+  let payloads = [ decision ?cid t ~id ~action ~reason cert ] in
   let reply =
     Wire.Decided
       {
@@ -128,18 +120,9 @@ let apply_revoke ?cid t ~now ~terms =
     let evictions =
       List.map
         (fun (e : Calendar.entry) ->
-          Events.Decision
-            {
-              id = e.Calendar.computation;
-              policy = policy_label t;
-              action = "evict";
-              slug = Slug.of_reason reason;
-              certificate =
-                Certificate.to_json
-                  (Certificate.of_committed ~theorem:Certificate.T4 ~residual
-                     e.Calendar.schedules);
-              cid;
-            })
+          decision ?cid t ~id:e.Calendar.computation ~action:"evict" ~reason
+            (Certificate.of_committed ~theorem:Certificate.T4 ~residual
+               e.Calendar.schedules))
         evicted
     in
     let ids = List.map (fun (e : Calendar.entry) -> e.Calendar.computation) evicted in
@@ -253,9 +236,6 @@ let replay t (e : Events.t) =
         t.ctrl <-
           Admission.add_capacity t.ctrl (Certificate.set_of_rects rects);
         Ok ()
-  | Events.Admitted _ | Events.Rejected _ ->
-      (* Legacy telling; the decision record is authoritative. *)
-      Ok ()
   | Events.Decision { id; action = "admit"; certificate; _ } ->
       replay_admit t ~id certificate
   | Events.Decision { action = "reject" | "evict"; _ } ->

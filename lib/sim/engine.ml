@@ -96,29 +96,6 @@ let head_wants (p : State.pending) xi =
         (fun (a : Requirement.amount) -> Located_type.equal a.Requirement.ltype xi)
         head
 
-type event =
-  | Capacity_joined of { at : Time.t; quantity : int }
-  | Admitted of { id : string; at : Time.t; reason : string }
-  | Rejected of { id : string; at : Time.t; reason : string }
-  | Completed of { id : string; at : Time.t }
-  | Killed of { id : string; at : Time.t; owed : int }
-
-let event_time = function
-  | Capacity_joined { at; _ }
-  | Admitted { at; _ }
-  | Rejected { at; _ }
-  | Completed { at; _ }
-  | Killed { at; _ } ->
-      at
-
-let payload_of_event ~policy = function
-  | Capacity_joined { quantity; _ } ->
-      Rota_obs.Events.Capacity_joined { quantity; terms = Rota_obs.Json.Null }
-  | Admitted { id; reason; _ } -> Rota_obs.Events.Admitted { id; policy; reason }
-  | Rejected { id; reason; _ } -> Rota_obs.Events.Rejected { id; policy; reason }
-  | Completed { id; _ } -> Rota_obs.Events.Completed { id }
-  | Killed { id; owed; _ } -> Rota_obs.Events.Killed { id; owed }
-
 (* The capacity slice (or a fault's revoked slice) as profile
    rectangles, for the trace; [Null] when no tracer is recording, so the
    untraced path never serializes resource sets. *)
@@ -126,12 +103,6 @@ let terms_json set =
   if Rota_obs.Tracer.active () then
     Certificate.rects_to_json (Certificate.rects_of_set set)
   else Rota_obs.Json.Null
-
-(* One formatting path for engine events: delegate to the telemetry
-   layer's renderer (the policy label does not show in the rendering). *)
-let pp_event ppf e =
-  Rota_obs.Events.pp_payload ~sim:(Some (event_time e)) ppf
-    (payload_of_event ~policy:"" e)
 
 (* --- metrics ------------------------------------------------------------ *)
 
@@ -161,8 +132,7 @@ let h_queue_depth =
   Rota_obs.Metrics.histogram ~buckets:depth_buckets "engine/queue_depth_dist"
 
 let run ?(cost_model = Cost_model.default) ?true_cost_model
-    ?(dispatch = Auto) ?(observer = fun (_ : event) -> ()) ?(faults = [])
-    ?(repair = true) ~policy trace =
+    ?(dispatch = Auto) ?(faults = []) ?(repair = true) ~policy trace =
   let true_cost_model = Option.value true_cost_model ~default:cost_model in
   let horizon = Trace.horizon trace in
   let dispatch_used =
@@ -200,19 +170,6 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
   let per_type_consumed : (Located_type.t, int) Hashtbl.t = Hashtbl.create 16 in
   let bump tbl xi q =
     Hashtbl.replace tbl xi (q + Option.value (Hashtbl.find_opt tbl xi) ~default:0)
-  in
-  (* Every run-time notification goes through here: the caller's observer
-     plus the telemetry sink, stamped with simulated time, in one place. *)
-  let notify ?(terms = Rota_obs.Json.Null) e =
-    observer e;
-    let payload =
-      match payload_of_event ~policy:policy_label e with
-      | Rota_obs.Events.Capacity_joined { quantity; terms = _ }
-        when terms <> Rota_obs.Json.Null ->
-          Rota_obs.Events.Capacity_joined { quantity; terms }
-      | p -> p
-    in
-    Rota_obs.Tracer.emit ~sim:(event_time e) payload
   in
   (* Decision provenance: one structured record per admission-control
      verdict, carrying the certificate the decider actually checked.
@@ -285,7 +242,7 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
         Hashtbl.remove running id;
         admission := Admission.complete !admission ~computation:id;
         Rota_obs.Metrics.incr m_completions;
-        notify (Completed { id; at })
+        Rota_obs.Tracer.emit ~sim:at (Rota_obs.Events.Completed { id })
     | Some _ | None -> ()
   in
 
@@ -409,9 +366,6 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
         unfinished = [];
         faulted = false;
       };
-    (if decision.Admission.admitted then
-       notify (Admitted { id; at = t; reason = decision.Admission.reason })
-     else notify (Rejected { id; at = t; reason = decision.Admission.reason }));
     emit_decision t ~id
       ~action:(if decision.Admission.admitted then "admit" else "reject")
       ~reason:decision.Admission.reason decision.Admission.certificate;
@@ -452,8 +406,9 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
         admission := Admission.add_capacity !admission clipped;
         Rota_obs.Metrics.incr m_capacity_joins;
         Rota_obs.Metrics.add m_capacity_quantity counted;
-        notify ~terms:(terms_json clipped)
-          (Capacity_joined { at = t; quantity = counted })
+        Rota_obs.Tracer.emit ~sim:t
+          (Rota_obs.Events.Capacity_joined
+             { quantity = counted; terms = terms_json clipped })
     | Trace.Arrive_session session -> process_session_arrival t session
     | Trace.Arrive computation ->
         incr offered;
@@ -477,11 +432,6 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
           }
         in
         Hashtbl.replace outcomes id outcome;
-        (if decision.Admission.admitted then
-           notify (Admitted { id; at = t; reason = decision.Admission.reason })
-         else
-           notify
-             (Rejected { id; at = t; reason = decision.Admission.reason }));
         emit_decision t ~id
           ~action:(if decision.Admission.admitted then "admit" else "reject")
           ~reason:decision.Admission.reason decision.Admission.certificate;
@@ -940,7 +890,8 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
             in
             Rota_obs.Metrics.incr m_kills;
             Rota_obs.Metrics.add m_owed owed;
-            notify (Killed { id; at = Time.succ t; owed });
+            Rota_obs.Tracer.emit ~sim:(Time.succ t)
+              (Rota_obs.Events.Killed { id; owed });
             (match Hashtbl.find_opt active_sessions id with
             | Some rt ->
                 List.iter

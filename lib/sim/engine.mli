@@ -23,33 +23,6 @@ type dispatch = Auto | Reservation | Shared
 (** [Auto] picks [Reservation] for Rota-family policies and [Shared]
     otherwise. *)
 
-(** Run-time notifications, for observability: the engine reports each
-    admission decision, completion, deadline kill and capacity join as it
-    happens (in simulated-time order).
-
-    Every event is also delivered to the {!Rota_obs.Tracer} sink, if one
-    is installed, as a typed {!Rota_obs.Events.payload} carrying both
-    simulated and wall time — [run ~observer] remains for in-process
-    consumers, the sink is for export (JSONL files, consoles). *)
-type event =
-  | Capacity_joined of { at : Time.t; quantity : int }
-  | Admitted of { id : string; at : Time.t; reason : string }
-  | Rejected of { id : string; at : Time.t; reason : string }
-  | Completed of { id : string; at : Time.t }
-  | Killed of { id : string; at : Time.t; owed : int }
-      (** Deadline kill; [owed] is the total quantity still unfinished. *)
-
-val event_time : event -> Time.t
-(** The simulated time the event happened at. *)
-
-val payload_of_event : policy:string -> event -> Rota_obs.Events.payload
-(** The telemetry-layer rendering of an engine event; [policy] labels
-    the admission decisions. *)
-
-val pp_event : Format.formatter -> event -> unit
-(** Renders via {!Rota_obs.Events.pp_payload}, so the engine and every
-    sink print one event the same way. *)
-
 type outcome = {
   computation : string;
   arrived : Time.t;
@@ -141,13 +114,17 @@ val run :
   ?cost_model:Cost_model.t ->
   ?true_cost_model:Cost_model.t ->
   ?dispatch:dispatch ->
-  ?observer:(event -> unit) ->
   ?faults:Fault.plan ->
   ?repair:bool ->
   policy:Admission.policy ->
   Trace.t ->
   report
 (** Replays the trace to its horizon.
+
+    As it goes, the run reports to the {!Rota_obs.Tracer} sink, if one
+    is installed, in simulated-time order: each capacity join,
+    admission verdict (one [decision] record, with its certificate),
+    completion, deadline kill, fault and repair.
 
     [cost_model] is what the {e reasoning} believes (admission prices
     requirements with it); [true_cost_model] (default: the same) is what

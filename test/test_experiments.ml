@@ -1,12 +1,15 @@
 (* Integration smoke tests: every experiment of the suite runs to
    completion (their tables go to the captured test log), and the engine's
-   event observer reports a consistent story. *)
+   event stream tells a consistent story. *)
 
 open Rota_interval
 open Rota_resource
 open Rota_actor
 open Rota_scheduler
 open Rota_sim
+module Events = Rota_obs.Events
+module Sink = Rota_obs.Sink
+module Tracer = Rota_obs.Tracer
 
 let test_experiment id () =
   match Rota_experiments.Experiments.run ~seed:123 id with
@@ -28,7 +31,17 @@ let test_descriptions () =
   Alcotest.(check int) "eleven experiments" 11
     (List.length Rota_experiments.Experiments.all_ids)
 
-(* --- Engine observer -------------------------------------------------------- *)
+(* --- Engine event stream ------------------------------------------------- *)
+
+(* Run [trace] with an in-memory sink installed; the report plus every
+   event the run emitted, in emission order. *)
+let run_captured ~policy trace =
+  Tracer.reset ();
+  let sink, captured = Sink.memory () in
+  Tracer.install sink;
+  Fun.protect ~finally:Tracer.reset @@ fun () ->
+  let r = Engine.run ~policy trace in
+  (r, captured ())
 
 let test_engine_observer () =
   let l1 = Location.make "l1" in
@@ -46,41 +59,34 @@ let test_engine_observer () =
         (0, Trace.Arrive (job ~id:"nope" ~deadline:12));
       ]
   in
-  let events = ref [] in
-  let r =
-    Engine.run ~observer:(fun e -> events := e :: !events)
-      ~policy:Admission.Rota trace
-  in
-  let events = List.rev !events in
+  let r, events = run_captured ~policy:Admission.Rota trace in
   Alcotest.(check int) "report matches story" 1 r.Engine.completed_on_time;
-  let count pred = List.length (List.filter pred events) in
+  let count pred =
+    List.length (List.filter (fun (e : Events.t) -> pred e.Events.payload) events)
+  in
   Alcotest.(check int) "one join" 1
-    (count (function Engine.Capacity_joined _ -> true | _ -> false));
+    (count (function Events.Capacity_joined _ -> true | _ -> false));
   Alcotest.(check int) "one admit" 1
-    (count (function Engine.Admitted _ -> true | _ -> false));
+    (count (function Events.Decision { action = "admit"; _ } -> true | _ -> false));
   Alcotest.(check int) "one reject" 1
-    (count (function Engine.Rejected _ -> true | _ -> false));
+    (count (function Events.Decision { action = "reject"; _ } -> true | _ -> false));
   Alcotest.(check int) "one completion" 1
-    (count (function Engine.Completed _ -> true | _ -> false));
+    (count (function Events.Completed _ -> true | _ -> false));
   Alcotest.(check int) "no kills" 0
-    (count (function Engine.Killed _ -> true | _ -> false));
-  (* Events are in simulated-time order and printable. *)
+    (count (function Events.Killed _ -> true | _ -> false));
+  (* Events are in simulated-time order and printable (spans are
+     emitted at exit and carry no ordering promise). *)
   let times =
-    List.map
-      (function
-        | Engine.Capacity_joined { at; _ }
-        | Engine.Admitted { at; _ }
-        | Engine.Rejected { at; _ }
-        | Engine.Completed { at; _ }
-        | Engine.Killed { at; _ } ->
-            at)
+    List.filter_map
+      (fun (e : Events.t) ->
+        match e.Events.payload with Events.Span _ -> None | _ -> e.Events.sim)
       events
   in
   Alcotest.(check (list int)) "time ordered" (List.sort compare times) times;
   List.iter
     (fun e ->
       Alcotest.(check bool) "printable" true
-        (String.length (Format.asprintf "%a" Engine.pp_event e) > 0))
+        (String.length (Format.asprintf "%a" Events.pp e) > 0))
     events
 
 let test_engine_observer_kill () =
@@ -97,18 +103,19 @@ let test_engine_observer_kill () =
         (0, Trace.Arrive job);
       ]
   in
-  let kills = ref [] in
-  let _ =
-    Engine.run
-      ~observer:(function
-        | Engine.Killed { at; owed; _ } -> kills := (at, owed) :: !kills
-        | _ -> ())
-      ~policy:Admission.Optimistic trace
+  let _, events = run_captured ~policy:Admission.Optimistic trace in
+  let kills =
+    List.filter_map
+      (fun (e : Events.t) ->
+        match e.Events.payload with
+        | Events.Killed { owed; _ } -> Some (e.Events.sim, owed)
+        | _ -> None)
+      events
   in
-  match !kills with
+  match kills with
   | [ (at, owed) ] ->
       (* 24 cpu demanded, 5 consumed by the deadline: 19 owed. *)
-      Alcotest.(check int) "killed at the deadline" 5 at;
+      Alcotest.(check (option int)) "killed at the deadline" (Some 5) at;
       Alcotest.(check int) "owed" 19 owed
   | other -> Alcotest.failf "expected one kill, got %d" (List.length other)
 

@@ -539,6 +539,100 @@ let test_snapshot_tamper_refused () =
   | Ok _ -> Alcotest.fail "tampered snapshot must be refused"
   | Error _ -> ()
 
+(* --- the daemon's line splitter --------------------------------------------- *)
+
+module Daemon = Rota_server.Daemon
+
+let rec connect ?(tries = 100) path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> fd
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+    when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.05;
+      connect ~tries:(tries - 1) path
+
+let rec write_all fd s off =
+  if off < String.length s then
+    write_all fd s
+      (off + Unix.write_substring fd s off (String.length s - off))
+
+(* Replies until [lines] have arrived or the daemon closes the
+   connection; a 10 s receive timeout keeps a hung daemon from hanging
+   the suite. *)
+let read_replies ?(lines = max_int) fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let newlines () =
+    String.fold_left
+      (fun n c -> if c = '\n' then n + 1 else n)
+      0 (Buffer.contents buf)
+  in
+  let rec go () =
+    if newlines () < lines then
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          go ()
+  in
+  go ();
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l ->
+         match Wire.response_of_line l with
+         | Ok r -> r.Wire.reply
+         | Error m -> Alcotest.failf "bad reply %S: %s" l m)
+
+(* A client that sends more than [max_line_bytes] without a newline gets
+   the replies it is owed, one [Failed], and a closed connection; the
+   daemon keeps serving everyone else, and several lines in one read
+   each get their reply. *)
+let test_overlong_line_refused () =
+  let dir = temp_dir "rota-daemon" in
+  let sock = Filename.concat dir "sock" in
+  let cfg =
+    Daemon.config ~telemetry:false ~dir:(Filename.concat dir "state")
+      ~address:(Daemon.Unix_socket sock) Admission.Rota
+  in
+  match Unix.fork () with
+  | 0 ->
+      let code =
+        match Daemon.run cfg with Ok () -> 0 | Error _ | (exception _) -> 1
+      in
+      Unix._exit code
+  | pid ->
+      let finally () =
+        (try
+           Unix.kill pid Sys.sigkill;
+           ignore (Unix.waitpid [] pid)
+         with Unix.Unix_error _ -> ());
+        rm_rf dir
+      in
+      Fun.protect ~finally @@ fun () ->
+      let ping =
+        Wire.request_to_line { Wire.tag = Json.Null; op = Wire.Ping } ^ "\n"
+      in
+      let a = connect sock in
+      let b = connect sock in
+      write_all a (ping ^ String.make (Daemon.max_line_bytes + 1) 'x') 0;
+      (match read_replies a with
+      | [ Wire.Pong; Wire.Failed _ ] -> ()
+      | rs ->
+          Alcotest.failf "over-long line: expected pong then failed, got %d \
+                          replies" (List.length rs));
+      Unix.close a;
+      write_all b (ping ^ ping ^ ping) 0;
+      (match read_replies ~lines:3 b with
+      | [ Wire.Pong; Wire.Pong; Wire.Pong ] -> ()
+      | rs -> Alcotest.failf "second connection: got %d replies" (List.length rs));
+      Unix.close b;
+      Unix.kill pid Sys.sigterm;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "daemon did not drain cleanly"
+
 let () =
   Alcotest.run "server"
     [
@@ -560,6 +654,8 @@ let () =
           Alcotest.test_case "cid echo round-trips" `Quick test_wire_cid_echo;
           Alcotest.test_case "cid stamped into decisions" `Quick
             test_cid_stamped_in_decision;
+          Alcotest.test_case "over-long line refused" `Quick
+            test_overlong_line_refused;
         ] );
       ( "scrape",
         [

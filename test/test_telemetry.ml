@@ -409,19 +409,31 @@ let test_top_frame () =
   let t = Top.create ~source:"e11.jsonl" () in
   let feed seq sim payload = Top.step t (event ~seq ~sim payload) in
   feed 1 0 (Events.Run_started { label = "engine policy=rota horizon=160" });
-  feed 2 1 (Events.Admitted { id = "c1"; policy = "rota"; reason = "ok" });
-  feed 3 1 (Events.Admitted { id = "c2"; policy = "rota"; reason = "ok" });
-  feed 4 2
-    (Events.Rejected { id = "c3"; policy = "rota"; reason = "no schedule" });
-  feed 5 8 (Events.Completed { id = "c1" });
-  feed 6 12 (Events.Killed { id = "c2"; owed = 3 });
-  feed 7 20
-    (Events.Metric_sample
-       { name = "audit/verified"; value = 11.; family = Some "counter" });
+  let decision id action =
+    Events.Decision
+      {
+        id;
+        policy = "rota";
+        action;
+        slug = "ok";
+        certificate = Rota_obs.Json.Null;
+        cid = None;
+      }
+  in
+  feed 2 1 (decision "c1" "admit");
+  feed 3 1 (decision "c2" "admit");
+  feed 4 2 (decision "c3" "reject");
+  (* A repair re-decides an admitted computation: not a second admit. *)
+  feed 5 3 (decision "c2" "repair");
+  feed 6 8 (Events.Completed { id = "c1" });
+  feed 7 12 (Events.Killed { id = "c2"; owed = 3 });
   feed 8 20
     (Events.Metric_sample
-       { name = "audit/lag"; value = 2.; family = Some "gauge" });
+       { name = "audit/verified"; value = 11.; family = Some "counter" });
   feed 9 20
+    (Events.Metric_sample
+       { name = "audit/lag"; value = 2.; family = Some "gauge" });
+  feed 10 20
     (Events.Hist_sample
        {
          name = "admission/decision_s.rota";
@@ -433,7 +445,7 @@ let test_top_frame () =
          p95 = 0.00048828125;
          p99 = 0.00048828125;
        });
-  feed 10 30
+  feed 11 30
     (Events.Audit_divergence
        { id = "c9"; action = "admit"; of_seq = 4; message = "certificate lies" });
   let frame = Top.render ~width:72 ~following:false t in
