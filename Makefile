@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-gate trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke check fmt clean
+.PHONY: all build test bench bench-smoke bench-gate trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke servebench-smoke check fmt clean
 
 all: build
 
@@ -260,9 +260,23 @@ serve-metrics-smoke: build
 	  || { echo "serve-metrics-smoke: --metrics-out file does not lint"; exit 1; }; \
 	echo "serve-metrics-smoke: OK"
 
+# Serve-path benchmark smoke: a short seed-1 run of each closed-loop
+# servebench workload (see servebench/README.md).  A run exits 0 only
+# when every run check passed: every decided reply has its WAL record,
+# three SIGKILL restarts each report 0 diverged and the served residual
+# digest, and a SIGTERM drain exits 0.  steady-mixed is left out: its
+# open-loop lateness check measures how loaded the runner is.
+servebench-smoke: build
+	@for w in pileup-admit burst-reject; do \
+	  out=$$(dune exec --root . --cache=disabled -- servebench/main.exe \
+	    --workload $$w --seed 1 --seconds 2 2>&1) \
+	    || { echo "$$out"; echo "servebench-smoke: $$w failed"; exit 1; }; \
+	done; \
+	echo "servebench-smoke: OK"
+
 # What CI runs.  `dune fmt` is included only when ocamlformat is
 # installed — the pinned toolchain image ships without it.
-check: build test trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke bench-gate
+check: build test trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke servebench-smoke bench-gate
 	@if command -v ocamlformat >/dev/null 2>&1; then \
 	  dune build @fmt; \
 	else \

@@ -11,10 +11,11 @@ open Import
    it is applied at check time instead of replaying every tick.
 
    The state is bounded by the number of *live* commitments, not by the
-   length of the stream: every table entry is created by an admission
-   and removed by the matching lifecycle event, so a watchdog riding an
-   arbitrarily long trace holds only the commitments currently in
-   flight. *)
+   length of the stream, even when nothing is ever released: every table
+   entry is created by an admission and leaves on the matching lifecycle
+   event or, at the latest, when the clock reaches its window's stop
+   ([expire]).  That is the controller's expiry rule, stated here on its
+   own so the auditor does not depend on the scheduler it checks. *)
 type ledger = {
   mutable policy : string;
   mutable capacity : Resource_set.t;
@@ -22,7 +23,8 @@ type ledger = {
       (* Cleared when a join or revocation carries no slice terms (a
          trace from an older binary): from then on the residual cannot
          be reconstructed and residual-dependent checks are skipped. *)
-  entries : (string, Resource_set.t) Hashtbl.t;
+  entries : (string, Time.t * Resource_set.t) Hashtbl.t;
+      (* Each reservation with the stop of its window. *)
   demands : (string, Interval.t * (Located_type.t * int) list) Hashtbl.t;
 }
 
@@ -42,9 +44,20 @@ let reset_ledger led ~policy =
   Hashtbl.reset led.entries;
   Hashtbl.reset led.demands
 
+(* Once per forward clock move: a commitment whose window has ended
+   holds nothing (its reservation lay inside the window), so it leaves
+   both tables. *)
+let expire led ~now =
+  Hashtbl.filter_map_inplace
+    (fun _ ((stop, _) as e) -> if stop > now then Some e else None)
+    led.entries;
+  Hashtbl.filter_map_inplace
+    (fun _ ((w, _) as d) -> if Interval.stop w > now then Some d else None)
+    led.demands
+
 let committed led ~now =
   Hashtbl.fold
-    (fun _ r acc -> Resource_set.union acc (Resource_set.truncate_before r now))
+    (fun _ (_, r) acc -> Resource_set.union acc (Resource_set.truncate_before r now))
     led.entries Resource_set.empty
 
 let residual led ~now =
@@ -61,15 +74,8 @@ let residual led ~now =
            Resource_set.pp_deficit d)
 
 (* Is the id admitted-and-active, as [Admission.already_admitted] would
-   see it?  Calendar entries live until explicitly released; demand
-   records expire with their windows (the controller prunes them on
-   advance). *)
-let is_live led ~now id =
-  Hashtbl.mem led.entries id
-  ||
-  match Hashtbl.find_opt led.demands id with
-  | Some (w, _) -> Interval.stop w > now
-  | None -> false
+   see it?  After [expire], whatever the tables hold is live. *)
+let is_live led id = Hashtbl.mem led.entries id || Hashtbl.mem led.demands id
 
 let release led id =
   Hashtbl.remove led.entries id;
@@ -85,7 +91,7 @@ let recheck_rows led ~now ~window rows =
       let committed =
         Hashtbl.fold
           (fun _ (w, totals) acc ->
-            if Interval.stop w > now && Interval.overlaps w window then
+            if Interval.overlaps w window then
               acc
               + List.fold_left
                   (fun acc (xi, q) ->
@@ -126,21 +132,29 @@ let audit_decision led ~now ~id ~action (cert : Certificate.t) =
         skip := Some "capacity terms missing: residual cannot be reconstructed")
     else match residual led ~now with Error m -> err "%s" m | Ok r -> k r
   in
-  let commit () =
-    Hashtbl.replace led.entries id (Certificate.reservation cert)
+  let commit parts =
+    (* A schedule without parts reserves nothing and carries no window,
+       so there is no deadline to expire it at and it is not tracked.
+       The serve wire refuses computations without programs, so only an
+       engine run of a workless job can record one. *)
+    Option.iter
+      (fun w ->
+        Hashtbl.replace led.entries id
+          (Interval.stop w, Certificate.reservation cert))
+      (Certificate.hull_window parts)
   in
   (match (action, cert.Certificate.evidence) with
-  | "admit", Certificate.Schedules _ ->
-      if is_live led ~now id then err "admitted an id that is already live";
+  | "admit", Certificate.Schedules parts ->
+      if is_live led id then err "admitted an id that is already live";
       check_residual (fun r ->
           match Certificate.verify ~residual:r cert with
           | Ok () -> ()
           | Error m -> err "%s" m);
       (* Track the reservation even on divergence, so one bad decision
          does not cascade into digest mismatches on every later one. *)
-      commit ()
+      commit parts
   | "admit", Certificate.Aggregate_fit { window; rows; fits } ->
-      if is_live led ~now id then err "admitted an id that is already live";
+      if is_live led id then err "admitted an id that is already live";
       if not fits then
         err "admit recorded, but the certificate's own table does not fit";
       check_residual (fun r ->
@@ -155,7 +169,7 @@ let audit_decision led ~now ~id ~action (cert : Certificate.t) =
               (row.Certificate.row_type, row.Certificate.demand))
             rows )
   | "admit", Certificate.Optimistic_fit { window; totals } ->
-      if is_live led ~now id then err "admitted an id that is already live";
+      if is_live led id then err "admitted an id that is already live";
       if now >= Interval.stop window then
         err "optimistic admit at t%d, at or past the deadline t%d" now
           (Interval.stop window);
@@ -179,7 +193,7 @@ let audit_decision led ~now ~id ~action (cert : Certificate.t) =
       if now < deadline then
         err "stale reject at t%d, before the deadline t%d" now deadline
   | "reject", Certificate.Duplicate ->
-      if not (is_live led ~now id) then
+      if not (is_live led id) then
         err "duplicate reject, but the id is not live in the reconstructed ledger"
   | "reject", (Certificate.Schedules _ | Certificate.Optimistic_fit _) ->
       err "reject decision carries admit evidence"
@@ -197,7 +211,7 @@ let audit_decision led ~now ~id ~action (cert : Certificate.t) =
               err "residual digest mismatch: certificate %s, reconstructed %s"
                 cert.Certificate.digest d)
   | "evict", _ -> err "evict decision without schedule evidence"
-  | "repair", Certificate.Schedules _ ->
+  | "repair", Certificate.Schedules parts ->
       (* The victim's old reservation was released before the ladder ran
          (eviction or degradation), so the rescue verifies like a fresh
          Theorem-3 admission and re-enters the ledger. *)
@@ -205,7 +219,7 @@ let audit_decision led ~now ~id ~action (cert : Certificate.t) =
           match Certificate.verify ~residual:r cert with
           | Ok () -> ()
           | Error m -> err "%s" m);
-      commit ()
+      commit parts
   | "repair", _ -> err "repair decision without schedule evidence"
   | a, _ -> err "unknown decision action %S" a);
   match (List.rev !errors, !skip) with
@@ -269,7 +283,11 @@ let apply_terms led terms ~f =
 
 let step t (e : Events.t) =
   t.events <- t.events + 1;
-  (match e.Events.sim with Some tm -> t.now <- tm | None -> ());
+  (match e.Events.sim with
+  | Some tm ->
+      if tm > t.now then expire t.led ~now:tm;
+      t.now <- tm
+  | None -> ());
   let now = t.now in
   let led = t.led in
   match e.Events.payload with

@@ -15,8 +15,9 @@ open Import
     (reservations and baseline demand windows currently in force), and
     per-stream counters.  Memory is bounded by the number of {e live}
     commitments — every table entry is created by an admission and
-    removed by its lifecycle event — never by stream length, so the
-    watchdog can ride an unbounded trace. *)
+    removed by its lifecycle event or, at the latest, when the stream's
+    clock reaches its window's stop — never by stream length, so the
+    watchdog can ride an unbounded trace even when nothing is released. *)
 
 type t
 (** Mutable auditor state.  One [t] audits one event stream (possibly
@@ -66,7 +67,9 @@ val diverged : t -> int
 (** Decisions with at least one complaint. *)
 
 val live_commitments : t -> int
-(** Current ledger size — the quantity the memory bound is stated in. *)
+(** Current ledger size — the quantity the memory bound is stated in.
+    It counts what the controller's [Admission.ledger_size] counts: the
+    reservations and demand records whose windows have not ended. *)
 
 val residual_digest : t -> (string, string) result
 (** {!Certificate.digest} of the reconstructed residual as of the last

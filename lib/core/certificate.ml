@@ -439,6 +439,11 @@ let reservation t =
   | Infeasible | Aggregate_fit _ | Optimistic_fit _ | Stale _ | Duplicate ->
       Resource_set.empty
 
+let hull_window = function
+  | [] -> None
+  | p :: rest ->
+      Some (List.fold_left (fun w q -> Interval.hull w q.window) p.window rest)
+
 (* Rebuild the concrete schedule a part serialized — the inverse of
    {!part_of_schedule} modulo the dropped requirement spec. *)
 let schedule_of_part p =

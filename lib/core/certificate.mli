@@ -137,6 +137,11 @@ val reservation : t -> Resource_set.t
 (** Union of all part allocations ({!Resource_set.empty} for
     non-schedule evidence) — what the decision committed. *)
 
+val hull_window : part list -> Interval.t option
+(** The smallest window holding every part's window ([None] for no
+    parts): the window a schedule commitment lives in.  Its stop is the
+    deadline at which the commitment leaves the ledger. *)
+
 val well_formed : t -> (unit, string) result
 (** Internal consistency, checkable without any external state: every
     part's steps rebuild into a schedule that

@@ -464,9 +464,9 @@ let adopt c entry =
   Result.map (fun calendar -> { c with calendar })
     (Calendar.commit c.calendar entry)
 
-(* Advancing also prunes demand records whose windows have fully
-   expired: the optimistic/aggregate baselines would otherwise scan dead
-   demands on every decision forever. *)
+(* One expiry rule for both ledgers: a calendar entry or demand record
+   whose window has ended leaves, so nothing scans dead commitments and
+   a reused id is decided afresh. *)
 let advance c now =
   {
     c with

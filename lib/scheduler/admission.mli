@@ -80,7 +80,8 @@ val ledger_size : t -> int
 val request : t -> now:Time.t -> Computation.t -> t * outcome
 (** Decide one arrival.  Deadline-passed and already-admitted requests
     are rejected by every policy.  On a Rota admission the controller
-    commits the reservation. *)
+    commits the reservation.  An id whose earlier admission has left the
+    ledger (released, or expired by {!advance}) is decided afresh. *)
 
 val request_session : t -> now:Time.t -> Session.t -> t * outcome
 (** Like {!request} for an interacting-actor session: the Rota policies
@@ -129,7 +130,13 @@ val remember_demand :
     own decision certificates.  Overwrites any record with the same id. *)
 
 val advance : t -> Time.t -> t
-(** Move the controller's notion of "now" forward, expiring the past. *)
+(** Move the controller's notion of "now" forward, expiring the past:
+    calendar entries and demand records whose window stops at or before
+    the new tick leave the ledger ({!Calendar.advance}). *)
+
+val already_admitted : t -> string -> bool
+(** Whether the id holds a calendar entry or a demand record — the
+    duplicate test {!request} applies.  O(log n). *)
 
 val admitted_demands : t -> (string * Interval.t * (Located_type.t * int) list) list
 (** For the Aggregate baseline's ledger (and diagnostics): each admitted,

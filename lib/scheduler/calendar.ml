@@ -14,7 +14,9 @@ module Id_map = Map.Make (String)
    them with one resource-set operation instead of re-folding the whole
    ledger, which keeps the admission decision path sublinear in the
    number of committed computations.  [self_check] recomputes both from
-   scratch and compares. *)
+   scratch and compares.  An entry is live until it is released or its
+   window ends: [advance] drops it at its deadline, so the map holds the
+   computations in flight, not the ledger's history. *)
 type t = {
   capacity : Resource_set.t;
   entries : entry Id_map.t;
@@ -91,6 +93,9 @@ let residual c = c.residual
 
 exception Already_committed
 
+(* [advance] drops an entry at its window's stop on the strength of the
+   window check: a reservation outside its window would linger in the
+   caches after its entry left. *)
 let commit c entry =
   match
     (* One map traversal does both the duplicate check and the insert. *)
@@ -100,6 +105,10 @@ let commit c entry =
   with
   | exception Already_committed ->
       Error (Printf.sprintf "calendar: %s already committed" entry.computation)
+  | _ when not (Resource_set.within entry.reservation entry.window) ->
+      Error
+        (Printf.sprintf "calendar: %s reserves outside its window"
+           entry.computation)
   | entries -> (
       match Resource_set.diff c.residual entry.reservation with
       | Error _ ->
@@ -200,15 +209,22 @@ let revoke c slice =
 
 (* Truncation is pointwise per tick, so it distributes over both the
    union behind [committed] and the complement behind [residual]: the
-   caches stay exact without recomputation. *)
+   caches stay exact without recomputation.  The same pass drops every
+   entry whose window has ended (the paper's resource-expiration and
+   computation-leave rules): a reservation lies inside its half-open
+   window, so truncation has already emptied it and neither cache
+   changes. *)
 let advance c now =
   debug_check
     {
       capacity = Resource_set.truncate_before c.capacity now;
       entries =
-        Id_map.map
-          (fun e ->
-            { e with reservation = Resource_set.truncate_before e.reservation now })
+        Id_map.filter_map
+          (fun _ e ->
+            if Interval.stop e.window <= now then None
+            else
+              Some
+                { e with reservation = Resource_set.truncate_before e.reservation now })
           c.entries;
       committed = Resource_set.truncate_before c.committed now;
       residual = Resource_set.truncate_before c.residual now;

@@ -13,6 +13,8 @@ open Import
     id, and the committed/residual sets are caches updated by one
     resource-set operation per {!commit}, {!release}, {!add_capacity},
     {!remove_capacity} and {!advance} — never by re-folding all entries.
+    An entry stays until it is released or {!advance} passes its window's
+    end, so the map holds only computations still in flight.
     The admission decision path is therefore O(log n) in the number of
     committed computations (plus the size of the sets involved), instead
     of O(n).  {!self_check} recomputes both caches from scratch and
@@ -49,8 +51,9 @@ val residual : t -> Resource_set.t
 
 val commit : t -> entry -> (t, string) result
 (** Adds an entry; fails when its reservation is not covered by the current
-    residual (which would disturb existing commitments), or when the id is
-    already committed. *)
+    residual (which would disturb existing commitments), when it reaches
+    outside the entry's window (which {!advance} relies on), or when the
+    id is already committed. *)
 
 val release : t -> computation:string -> t
 (** Drops a computation's entry (on completion, cancellation or deadline
@@ -78,7 +81,11 @@ val revoke : t -> Resource_set.t -> t * entry list
     Theorem 4). *)
 
 val advance : t -> Time.t -> t
-(** Expires capacity and reservations strictly before the given tick. *)
+(** Expires capacity and reservations strictly before the given tick, and
+    drops every entry whose window stops at or before it: past its
+    deadline a computation holds no resources (the paper's expiration
+    and leave rules).  Its reservation lay inside its window and is
+    already empty, so neither {!committed} nor {!residual} changes. *)
 
 val committed_quantity : t -> Located_type.t -> Interval.t -> int
 

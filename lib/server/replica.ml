@@ -43,12 +43,6 @@ let decision ?cid t ~id ~action ~reason certificate =
       cid;
     }
 
-let known t id =
-  Calendar.find (Admission.calendar t.ctrl) ~computation:id <> None
-  || List.exists
-       (fun (d, _, _) -> String.equal d id)
-       (Admission.admitted_demands t.ctrl)
-
 let apply_admit ?cid t ~now ~computation =
   let now = advance_to t now in
   let id = computation.Computation.id in
@@ -72,8 +66,7 @@ let apply_admit ?cid t ~now ~computation =
 
 let apply_release t ~now ~id =
   let _now = advance_to t now in
-  let existed = known t id in
-  if existed then begin
+  if Admission.already_admitted t.ctrl id then begin
     t.ctrl <- Admission.complete t.ctrl ~computation:id;
     ([ Events.Completed { id } ], Wire.Released { id; existed = true })
   end
@@ -179,22 +172,11 @@ let apply ?cid t (op : Wire.op) =
 
 let ( let* ) = Result.bind
 
-let hull_window (parts : Certificate.part list) =
-  match parts with
-  | [] -> None
-  | p :: rest ->
-      let widen w (p : Certificate.part) =
-        let start = min (Interval.start w) (Interval.start p.Certificate.window)
-        and stop = max (Interval.stop w) (Interval.stop p.Certificate.window) in
-        match Interval.make ~start ~stop with Some w -> w | None -> w
-      in
-      Some (List.fold_left widen p.Certificate.window rest)
-
 let replay_admit t ~id certificate =
   let* cert = Certificate.of_json certificate in
   match cert.Certificate.evidence with
   | Certificate.Schedules parts -> (
-      match hull_window parts with
+      match Certificate.hull_window parts with
       | None -> Error (Printf.sprintf "admit %s: certificate has no parts" id)
       | Some window ->
           let entry =
@@ -298,4 +280,7 @@ let restore ?cost_model json =
     let* now = Result.bind (jfield "now" json) Json.to_int in
     let* adm = jfield "admission" json in
     let* ctrl = Admission.restore ?cost_model adm in
-    Ok { ctrl; now; policy = Admission.policy ctrl }
+    (* Snapshots written before entries expired at their deadline may
+       hold dead ones; advancing drops them and leaves the residual as
+       the digest check just found it. *)
+    Ok { ctrl = Admission.advance ctrl now; now; policy = Admission.policy ctrl }

@@ -17,7 +17,10 @@ open Import
     Time only moves forward: each operation's [now] is clamped to the
     replica's clock, and the controller is {!Admission.advance}d before
     deciding, so the residual a decision pins is truncated exactly the
-    way the auditor's reconstruction at that simulated time is. *)
+    way the auditor's reconstruction at that simulated time is.  The
+    advance also drops every commitment whose window has ended: a
+    release at or past the deadline answers [existed = false] and logs
+    nothing, and an admit reusing that id is decided afresh. *)
 
 type t
 
@@ -59,3 +62,6 @@ val snapshot : t -> Json.t
 (** Clock plus {!Admission.snapshot}. *)
 
 val restore : ?cost_model:Cost_model.t -> Json.t -> (t, string) result
+(** Inverse of {!snapshot}.  The controller is advanced to the
+    snapshot's clock, so a snapshot from a binary that kept entries past
+    their deadline restores without them. *)

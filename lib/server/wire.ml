@@ -137,14 +137,19 @@ let computation_to_json (c : Computation.t) =
 
 (* [Computation.make] and friends raise [Invalid_argument] on the
    invariants they own (window, duplicate actors, positive costs);
-   requests come off an untrusted socket, so those become [Error]s. *)
+   requests come off an untrusted socket, so those become [Error]s.  A
+   served computation also needs a program: a schedule without parts
+   carries no window, so neither the auditor nor replay could tell when
+   its commitment ends. *)
 let computation_of_json json =
   match
     let* id = str_field "id" json in
     let* start = int_field "start" json in
     let* deadline = int_field "deadline" json in
     let* programs = list_field "programs" program_of_json json in
-    Ok (Computation.make ~id ~start ~deadline programs)
+    if programs = [] then
+      Error (Printf.sprintf "wire: computation %s has no programs" id)
+    else Ok (Computation.make ~id ~start ~deadline programs)
   with
   | result -> result
   | exception Invalid_argument msg -> Error (Printf.sprintf "wire: %s" msg)

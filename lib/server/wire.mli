@@ -92,7 +92,9 @@ val computation_of_json : Json.t -> (Computation.t, string) result
 (** Accepts exactly what {!computation_to_json} produces; construction
     invariants (positive window, distinct actor names, positive action
     parameters) are re-checked, so a malformed computation fails here
-    rather than inside the admission controller. *)
+    rather than inside the admission controller.  A computation without
+    programs is refused: its commitment would have no window to expire
+    with. *)
 
 (** {2 Framing} *)
 

@@ -17,7 +17,9 @@
      kill -TERM %1
 
    [rota load] printed "residual digest: 8420f481d246c518"; the SIGTERM
-   drain wrote snapshot.json next to the WAL. *)
+   drain wrote snapshot.json next to the WAL.  That binary kept ledger
+   entries past their deadlines: the snapshot lists six, every one of
+   whose windows ended before its clock of 110. *)
 
 module Events = Rota_obs.Events
 module Trace_reader = Rota_obs.Trace_reader
@@ -25,6 +27,7 @@ module Summary = Rota_obs.Summary
 module Audit = Rota_audit.Audit
 module Admission = Rota_scheduler.Admission
 module Wal = Rota_server.Wal
+module Replica = Rota_server.Replica
 
 let engine_trace = "fixtures/legacy-engine.jsonl"
 let serve_dir = "fixtures/legacy-serve"
@@ -114,7 +117,9 @@ let copy_file src dst =
 
 (* Recovery writes to its state dir (it reopens the WAL for appending),
    so it runs on a copy.  With the snapshot it replays nothing past it;
-   without, every record replays through [Replica.replay]. *)
+   without, every record replays through [Replica.replay].  Either way
+   the dead entries are gone: restore advances to the snapshot's clock,
+   and replay advances to each record's. *)
 let test_recover ~with_snapshot () =
   let dir = temp_dir () in
   let files =
@@ -137,6 +142,8 @@ let test_recover ~with_snapshot () =
       Alcotest.(check int) "every decision re-verified" 8 r.Wal.verified;
       Alcotest.(check string) "recorded residual digest" serve_digest
         r.Wal.digest;
+      Alcotest.(check int) "no entry outlives its deadline" 0
+        (Admission.ledger_size (Replica.controller r.Wal.replica));
       if not with_snapshot then
         Alcotest.(check int) "every record replayed" r.Wal.scanned
           r.Wal.replayed

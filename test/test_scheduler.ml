@@ -75,6 +75,23 @@ let test_calendar_advance_and_capacity () =
   Alcotest.(check int) "capacity joined" 18
     (Calendar.capacity_quantity c cpu1 (iv 0 12))
 
+(* [advance] drops an entry at its window's stop, which is exact only
+   while the reservation lies inside the window: [commit] (and so
+   restore, replay and adoption) refuses an entry that reserves outside
+   it. *)
+let test_calendar_commit_refuses_outside_window () =
+  let c = Calendar.create (rset [ Term.v 2 (iv 0 10) cpu1 ]) in
+  let inside = entry ~id:"in" ~window:(iv 0 5) ~rate:1 in
+  let outside = { (entry ~id:"out" ~window:(iv 0 5) ~rate:1) with window = iv 0 3 } in
+  let c = Result.get_ok (Calendar.commit c inside) in
+  Alcotest.(check bool) "entry inside its window restores" true
+    (Result.is_ok (Calendar.restore (Calendar.snapshot c)));
+  match Calendar.commit c outside with
+  | Error msg ->
+      Alcotest.(check string) "names the entry"
+        "calendar: out reserves outside its window" msg
+  | Ok _ -> Alcotest.fail "a reservation outside its window must be refused"
+
 (* --- Calendar: invariant-violation reports ------------------------------ *)
 
 let contains ~sub s =
@@ -169,24 +186,27 @@ let recomputed_residual cal =
   in
   Result.get_ok (Resource_set.diff (Calendar.capacity cal) committed)
 
+let slot_entry k a d r =
+  let window = iv a (a + d) in
+  {
+    Calendar.computation = Printf.sprintf "c%d" k;
+    window;
+    reservation = rset [ Term.v r window cpu1 ];
+    schedules = [];
+  }
+
+let slice a d r = rset [ Term.v r (iv a (a + d)) cpu1 ]
+
 let apply_cal_op cal = function
   | Commit (k, a, d, r) -> (
-      let window = iv a (a + d) in
-      let e =
-        {
-          Calendar.computation = Printf.sprintf "c%d" k;
-          window;
-          reservation = rset [ Term.v r window cpu1 ];
-          schedules = [];
-        }
-      in
-      match Calendar.commit cal e with Ok cal -> cal | Error _ -> cal)
+      match Calendar.commit cal (slot_entry k a d r) with
+      | Ok cal -> cal
+      | Error _ -> cal)
   | Release k -> Calendar.release cal ~computation:(Printf.sprintf "c%d" k)
   | Advance t -> Calendar.advance cal t
-  | Add_capacity (a, d, r) ->
-      Calendar.add_capacity cal (rset [ Term.v r (iv a (a + d)) cpu1 ])
+  | Add_capacity (a, d, r) -> Calendar.add_capacity cal (slice a d r)
   | Remove_capacity (a, d, r) -> (
-      match Calendar.remove_capacity cal (rset [ Term.v r (iv a (a + d)) cpu1 ]) with
+      match Calendar.remove_capacity cal (slice a d r) with
       | Ok cal -> cal
       | Error _ -> cal)
 
@@ -205,6 +225,89 @@ let prop_calendar_residual_cache =
             then QCheck.Test.fail_report "residual differs from recomputation";
             cal)
           cal ops
+      in
+      true)
+
+(* The ledger as it was before entries expired: the same commits and
+   releases, but an advance only moves the clock (the latest tick
+   advanced to) and never drops an entry. *)
+module Shadow = Map.Make (String)
+
+type model = {
+  cal : Calendar.t;
+  shadow : Calendar.entry Shadow.t;
+  clock : int;
+}
+
+let shadow_residual m =
+  let committed =
+    Shadow.fold
+      (fun _ (e : Calendar.entry) acc -> Resource_set.union acc e.Calendar.reservation)
+      m.shadow Resource_set.empty
+  in
+  Resource_set.diff (Calendar.capacity m.cal)
+    (Resource_set.truncate_before committed m.clock)
+
+(* Would the shadow's residual take the entry, and is the id free?  An
+   id whose window has ended is free again; the shadow alone would
+   still refuse it, and that id reuse is the one place the two ledgers
+   differ. *)
+let shadow_accepts m (e : Calendar.entry) =
+  (match Shadow.find_opt e.Calendar.computation m.shadow with
+  | Some old -> Interval.stop old.Calendar.window <= m.clock
+  | None -> true)
+  &&
+  match shadow_residual m with
+  | Ok r -> Result.is_ok (Resource_set.diff r e.Calendar.reservation)
+  | Error _ -> false
+
+(* Joins are clipped at the clock, as the serve replica clips them, so
+   no commit can reserve a tick the clock has passed: the shadow
+   truncated at the clock is then the expiring ledger's reference. *)
+let apply_shadow_op m op =
+  match op with
+  | Commit (k, a, d, r) -> (
+      let e = slot_entry k a d r in
+      let result = Calendar.commit m.cal e in
+      if Result.is_ok result <> shadow_accepts m e then
+        QCheck.Test.fail_report "commit decided unlike the shadow ledger";
+      match result with
+      | Ok cal ->
+          { m with cal; shadow = Shadow.add e.Calendar.computation e m.shadow }
+      | Error _ -> m)
+  | Release k ->
+      { m with cal = apply_cal_op m.cal op;
+               shadow = Shadow.remove (Printf.sprintf "c%d" k) m.shadow }
+  | Advance t -> { m with cal = apply_cal_op m.cal op; clock = max m.clock t }
+  | Add_capacity (a, d, r) ->
+      { m with
+        cal =
+          Calendar.add_capacity m.cal
+            (Resource_set.truncate_before (slice a d r) m.clock) }
+  | Remove_capacity _ -> { m with cal = apply_cal_op m.cal op }
+
+(* The expiring ledger keeps no entry past the clock, and its residual —
+   hence, without id reuse, every decision and digest — equals the
+   never-expiring shadow's. *)
+let prop_calendar_expiry_matches_shadow =
+  QCheck.Test.make ~name:"calendar expiring ledger = never-expiring shadow"
+    ~count:300 arbitrary_cal_ops (fun ops ->
+      let cal = Calendar.create (rset [ Term.v 5 (iv 0 40) cpu1 ]) in
+      let _ =
+        List.fold_left
+          (fun m op ->
+            let m = apply_shadow_op m op in
+            (match shadow_residual m with
+            | Ok r when Resource_set.equal r (Calendar.residual m.cal) -> ()
+            | _ -> QCheck.Test.fail_report "residual differs from the shadow ledger's");
+            if
+              List.exists
+                (fun (e : Calendar.entry) -> Interval.stop e.Calendar.window <= m.clock)
+                (Calendar.entries m.cal)
+            then QCheck.Test.fail_report "an entry outlived its window";
+            m)
+          { cal; shadow = Shadow.empty; clock = 0 }
+          ops
       in
       true)
 
@@ -344,6 +447,36 @@ let test_admission_duplicate_rejected () =
         1 (Admission.ledger_size ctrl))
     Admission.all_policies
 
+(* A computation past its deadline holds nothing, so its id leaves the
+   ledger: re-submitted after the clock passes the deadline it is decided
+   afresh (and admitted here, since it fits), while before the deadline
+   it is still a duplicate. *)
+let test_admission_expired_id_decided_afresh () =
+  List.iter
+    (fun policy ->
+      let name = Admission.policy_name policy in
+      let ctrl = Admission.create policy (rset [ Term.v 9 (iv 0 30) cpu1 ]) in
+      let job ~start ~deadline =
+        one_actor_job ~id:"again" ~start ~deadline
+          [ Action.evaluate 1; Action.ready ]
+      in
+      let ctrl, o1 = Admission.request ctrl ~now:0 (job ~start:0 ~deadline:10) in
+      Alcotest.(check bool) (name ^ " first admitted") true o1.Admission.admitted;
+      let ctrl = Admission.advance ctrl 9 in
+      let ctrl, o2 = Admission.request ctrl ~now:9 (job ~start:9 ~deadline:20) in
+      Alcotest.(check string)
+        (name ^ " still a duplicate before the deadline")
+        "again is already admitted" o2.Admission.reason;
+      let ctrl = Admission.advance ctrl 10 in
+      Alcotest.(check int) (name ^ " expired at the deadline") 0
+        (Admission.ledger_size ctrl);
+      let ctrl, o3 = Admission.request ctrl ~now:10 (job ~start:10 ~deadline:20) in
+      Alcotest.(check bool) (name ^ " decided afresh and admitted") true
+        o3.Admission.admitted;
+      Alcotest.(check int) (name ^ " one record again") 1
+        (Admission.ledger_size ctrl))
+    Admission.all_policies
+
 (* Regression: an all-punctuation reject reason must not produce the
    dangling counter name "admission/reject_reason.". *)
 let test_reject_reason_slug () =
@@ -374,7 +507,10 @@ let () =
           Alcotest.test_case "commit/release" `Quick test_calendar_commit_release;
           Alcotest.test_case "advance/capacity" `Quick
             test_calendar_advance_and_capacity;
+          Alcotest.test_case "commit refuses a reservation outside its window"
+            `Quick test_calendar_commit_refuses_outside_window;
           QCheck_alcotest.to_alcotest prop_calendar_residual_cache;
+          QCheck_alcotest.to_alcotest prop_calendar_expiry_matches_shadow;
           Alcotest.test_case "release reports cache drift" `Quick
             test_calendar_release_reports_drift;
           Alcotest.test_case "remove_capacity reports cache drift" `Quick
@@ -395,6 +531,8 @@ let () =
             test_admission_add_capacity_unlocks;
           Alcotest.test_case "duplicate admission rejected" `Quick
             test_admission_duplicate_rejected;
+          Alcotest.test_case "expired id decided afresh" `Quick
+            test_admission_expired_id_decided_afresh;
           Alcotest.test_case "reject reason slug" `Quick test_reject_reason_slug;
           Alcotest.test_case "advance prunes demands" `Quick
             test_admission_advance_prunes_demands;

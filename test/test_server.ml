@@ -19,6 +19,7 @@ module Wire = Rota_server.Wire
 module Shed = Rota_server.Shed
 module Replica = Rota_server.Replica
 module Wal = Rota_server.Wal
+module Live = Rota_audit.Live
 
 let temp_dir prefix =
   let path = Filename.temp_file prefix "" in
@@ -81,18 +82,22 @@ let ops_of ~seed =
   base @ revoke @ releases
 
 (* Drive [ops] through a live replica exactly as the daemon does:
-   apply, append the payloads, sync.  Returns the replica with the WAL
-   on disk in [dir]. *)
-let build_wal ~dir ~policy ops =
+   apply, append the payloads, sync.  [on_op] sees each op's reply and
+   the records it appended.  Returns the replica with the WAL on disk in
+   [dir]. *)
+let build_wal ?(on_op = fun _ _ _ _ -> ()) ~dir ~policy ops =
   match Wal.recover ~dir ~policy () with
   | Error m -> failwith ("build_wal: " ^ m)
   | Ok r ->
       let replica = r.Wal.replica and w = r.Wal.writer in
       List.iter
         (fun op ->
-          let payloads, _reply = Replica.apply replica op in
-          if payloads <> [] then
-            ignore (Wal.append w ~sim:(Replica.now replica) payloads))
+          let payloads, reply = Replica.apply replica op in
+          let events =
+            if payloads = [] then []
+            else Wal.append w ~sim:(Replica.now replica) payloads
+          in
+          on_op replica op reply events)
         ops;
       Wal.sync w;
       Wal.close w;
@@ -235,6 +240,142 @@ let test_snapshot_recovery () =
       Alcotest.(check bool) "prefix state recovered" true
         (same_state spec r.Wal.replica)
 
+(* --- served = audited, with expiry ------------------------------------------- *)
+
+(* Extra requests against the scenario's arrivals (indices wrap): the
+   same id submitted again, or released, [k] ticks after the original
+   start — before the deadline, where the id may still be live, or at
+   and after it, where it has expired — and releases of an id nobody
+   admitted. *)
+type extra =
+  | Resubmit of int * int
+  | Release_id of int * int
+  | Release_unknown of int
+
+let pp_extra = function
+  | Resubmit (i, k) -> Printf.sprintf "resubmit #%d at +%d" i k
+  | Release_id (i, k) -> Printf.sprintf "release #%d at +%d" i k
+  | Release_unknown t -> Printf.sprintf "release ghost at t%d" t
+
+let extra_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun i k -> Resubmit (i, k)) (int_bound 13) (int_bound 60));
+        (3, map2 (fun i k -> Release_id (i, k)) (int_bound 13) (int_bound 60));
+        (1, map (fun t -> Release_unknown t) (int_bound 120));
+      ])
+
+let op_time = function
+  | Wire.Admit { now; _ } | Wire.Release { now; _ } | Wire.Join { now; _ }
+  | Wire.Revoke { now; _ } ->
+      now
+  | _ -> 0
+
+(* [ops_of] plus the extras, in time order. *)
+let expiry_ops ~seed extras =
+  let base = ops_of ~seed in
+  let arrivals =
+    Array.of_list
+      (List.filter_map
+         (function Wire.Admit { computation; _ } -> Some computation | _ -> None)
+         base)
+  in
+  let n = Array.length arrivals in
+  let extra = function
+    | Resubmit (i, k) ->
+        let c = arrivals.(i mod n) in
+        let start = c.Computation.start + k in
+        let deadline = start + c.Computation.deadline - c.Computation.start in
+        Wire.Admit
+          {
+            now = start;
+            budget_ms = None;
+            computation =
+              Computation.make ~id:c.Computation.id ~start ~deadline
+                c.Computation.programs;
+          }
+    | Release_id (i, k) ->
+        let c = arrivals.(i mod n) in
+        Wire.Release { now = c.Computation.start + k; id = c.Computation.id }
+    | Release_unknown t -> Wire.Release { now = t; id = "ghost" }
+  in
+  let extras = if n = 0 then [] else List.map extra extras in
+  List.stable_sort (fun a b -> compare (op_time a) (op_time b)) (base @ extras)
+
+(* Each record the replica writes goes through an independent [Live]
+   auditor, which expires commitments by its own rule.  Every decision
+   must verify, and after every logged op the two must agree on the
+   residual digest and on the number of live commitments.  A release at
+   or past the id's deadline (or of an id never admitted) answers
+   [existed:false] and logs nothing.  Recovery of the WAL must reach the
+   state of the last logged op with nothing diverged.  (A release that
+   logs nothing still moves the clock; a stream ending on such releases
+   would recover to an earlier clock, the known gap servebench works
+   around with a closing join.) *)
+let prop_served_equals_audited =
+  QCheck.Test.make ~count:60
+    ~name:"served = audited with expiry: verdicts, digests, ledger sizes, recovery"
+    QCheck.(
+      triple (int_bound 1000)
+        (int_bound (List.length Admission.all_policies - 1))
+        (make
+           ~print:(fun l -> String.concat "; " (List.map pp_extra l))
+           Gen.(list_size (int_range 0 12) extra_gen)))
+    (fun (seed, p, extras) ->
+      let policy = List.nth Admission.all_policies p in
+      let dir = temp_dir "rota-expiry" in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let live = Live.create () in
+      let deadlines = Hashtbl.create 16 and last_digest = ref "" in
+      let on_op replica op reply events =
+        (match (op, reply) with
+        | Wire.Admit { computation = c; _ }, Wire.Decided { action = "admit"; _ } ->
+            Hashtbl.replace deadlines c.Computation.id c.Computation.deadline
+        | Wire.Release { id; _ }, Wire.Released { existed; _ } ->
+            let expired =
+              match Hashtbl.find_opt deadlines id with
+              | Some d -> Replica.now replica >= d
+              | None -> true
+            in
+            if expired && (existed || events <> []) then
+              QCheck.Test.fail_reportf "release of %s at t%d past its deadline changed state"
+                id (Replica.now replica)
+        | _ -> ());
+        if events <> [] then begin
+          List.iter
+            (fun e ->
+              match Live.step live e with
+              | None | Some { Live.verdict = Live.Verified; _ } -> ()
+              | Some o ->
+                  QCheck.Test.fail_reportf "%s %s (seq %d) did not verify" o.Live.action
+                    o.Live.id o.Live.seq)
+            events;
+          let digest = Replica.residual_digest replica in
+          (match Live.residual_digest live with
+          | Ok d when String.equal d digest -> ()
+          | Ok d -> QCheck.Test.fail_reportf "t%d: served digest %s, audited %s"
+                      (Replica.now replica) digest d
+          | Error m -> QCheck.Test.fail_reportf "audited digest: %s" m);
+          let size = Admission.ledger_size (Replica.controller replica) in
+          if Live.live_commitments live <> size then
+            QCheck.Test.fail_reportf "t%d: served ledger %d, audited %d"
+              (Replica.now replica) size (Live.live_commitments live);
+          last_digest := digest
+        end
+      in
+      ignore (build_wal ~on_op ~dir ~policy (expiry_ops ~seed extras));
+      match Wal.recover ~dir ~policy () with
+      | Error m -> QCheck.Test.fail_reportf "recover: %s" m
+      | Ok r ->
+          Wal.close r.Wal.writer;
+          if r.Wal.diverged <> 0 then
+            QCheck.Test.fail_reportf "recovery: %d diverged" r.Wal.diverged;
+          if not (String.equal r.Wal.digest !last_digest) then
+            QCheck.Test.fail_reportf "recovered digest %s, last logged %s"
+              r.Wal.digest !last_digest;
+          true)
+
 (* --- the shedding policy ----------------------------------------------------- *)
 
 (* The two checkpoints enforce the invariant the daemon advertises: an
@@ -368,6 +509,23 @@ let test_wire_roundtrip () =
       Alcotest.(check bool) "shed slug on the wire" true
         (Json.member "slug" json = Some (Json.String Wire.shed_slug))
   | Error m -> Alcotest.failf "shed response unparsable: %s" m
+
+(* A computation without programs would commit a schedule with no parts,
+   hence no window for the auditor or replay to expire it at: the wire
+   refuses it before it reaches the controller. *)
+let test_wire_refuses_workless () =
+  let c = Computation.make ~id:"idle" ~start:0 ~deadline:5 [] in
+  (match Wire.computation_of_json (Wire.computation_to_json c) with
+  | Error msg ->
+      Alcotest.(check string) "names the computation"
+        "wire: computation idle has no programs" msg
+  | Ok _ -> Alcotest.fail "a computation without programs must be refused");
+  let admit =
+    { Wire.tag = Json.Null;
+      op = Wire.Admit { now = 0; computation = c; budget_ms = None } }
+  in
+  Alcotest.(check bool) "an admit carrying it does not parse" true
+    (Result.is_error (Wire.request_of_line (Wire.request_to_line admit)))
 
 (* --- correlation ids ---------------------------------------------------------- *)
 
@@ -641,6 +799,7 @@ let () =
         :: [
              Alcotest.test_case "snapshot-assisted recovery" `Quick
                test_snapshot_recovery;
+             QCheck_alcotest.to_alcotest prop_served_equals_audited;
            ] );
       ( "shed",
         [
@@ -656,6 +815,8 @@ let () =
             test_cid_stamped_in_decision;
           Alcotest.test_case "over-long line refused" `Quick
             test_overlong_line_refused;
+          Alcotest.test_case "computation without programs refused" `Quick
+            test_wire_refuses_workless;
         ] );
       ( "scrape",
         [
