@@ -265,13 +265,20 @@ serve-metrics-smoke: build
 # when every run check passed: every decided reply has its WAL record,
 # three SIGKILL restarts each report 0 diverged and the served residual
 # digest, and a SIGTERM drain exits 0.  steady-mixed is left out: its
-# open-loop lateness check measures how loaded the runner is.
+# open-loop lateness check measures how loaded the runner is.  The
+# traced burst-reject leg (~3 s) adds the in-process replay's checks:
+# the replay ends on the served digest, its WAL recovers to that digest
+# with 0 diverged, its watchdog reports 0 diverged, and its span file
+# validates.
 servebench-smoke: build
 	@for w in pileup-admit burst-reject; do \
 	  out=$$(dune exec --root . --cache=disabled -- servebench/main.exe \
 	    --workload $$w --seed 1 --seconds 2 2>&1) \
 	    || { echo "$$out"; echo "servebench-smoke: $$w failed"; exit 1; }; \
 	done; \
+	out=$$(dune exec --root . --cache=disabled -- servebench/main.exe \
+	  --workload burst-reject --seed 1 --seconds 2 --trace 1 2>&1) \
+	  || { echo "$$out"; echo "servebench-smoke: traced burst-reject failed"; exit 1; }; \
 	echo "servebench-smoke: OK"
 
 # What CI runs.  `dune fmt` is included only when ocamlformat is

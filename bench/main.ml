@@ -98,6 +98,32 @@ let bench_rset_union =
         in
         fun () -> ignore (Resource_set.union a b)))
 
+(* --- certificate digests ------------------------------------------------- *)
+
+(* A residual of [n] canonical segments spread round-robin over four
+   located types (two nodes' cpu and both link directions), each
+   segment separated from the next so none coalesce: the digest's cost
+   is its byte stream, 24 bytes per segment plus each type's name. *)
+let digest_residual n =
+  let l2 = Location.make "l2" in
+  let types =
+    [|
+      cpu1;
+      Located_type.cpu l2;
+      Located_type.network ~src:l1 ~dst:l2;
+      Located_type.network ~src:l2 ~dst:l1;
+    |]
+  in
+  List.init n (fun j ->
+      Term.v (1 + (j mod 7)) (iv (10 * j) ((10 * j) + 5 + (j mod 3))) types.(j mod 4))
+  |> Resource_set.of_terms
+
+let bench_certificate_digest =
+  Test.make_indexed ~name:"core/certificate-digest" ~args:[ 10; 50; 1000 ]
+    (fun n ->
+      let set = digest_residual n in
+      Staged.stage (fun () -> ignore (Rota.Certificate.digest set)))
+
 (* --- E3: semantics --------------------------------------------------------- *)
 
 let bench_semantics_exists =
@@ -699,6 +725,7 @@ let suites =
     ("e2/profile-union", bench_profile_union);
     ("e2/profile-complement", bench_profile_sub);
     ("e2/resource-set-union", bench_rset_union);
+    ("core/certificate-digest", bench_certificate_digest);
     ("e3/exists-path", bench_semantics_exists);
     ("e4/schedule-sequential", bench_schedule_sequential);
     ("e5/admit-one-more", bench_admission);

@@ -26,6 +26,12 @@ type ledger = {
   entries : (string, Time.t * Resource_set.t) Hashtbl.t;
       (* Each reservation with the stop of its window. *)
   demands : (string, Interval.t * (Located_type.t * int) list) Hashtbl.t;
+  mutable carried : (Time.t * Resource_set.t) option;
+      (* The residual last built, and the clock it was built at.  While
+         the capacity and the entry table stay as they were, the
+         residual only loses its past, so it is carried forward by
+         truncation instead of rebuilt; every change to either drops it
+         ([changed]).  Demand records never enter the residual. *)
 }
 
 let fresh_ledger () =
@@ -35,22 +41,38 @@ let fresh_ledger () =
     capacity_known = true;
     entries = Hashtbl.create 64;
     demands = Hashtbl.create 64;
+    carried = None;
   }
+
+let changed led = led.carried <- None
 
 let reset_ledger led ~policy =
   led.policy <- policy;
   led.capacity <- Resource_set.empty;
   led.capacity_known <- true;
   Hashtbl.reset led.entries;
-  Hashtbl.reset led.demands
+  Hashtbl.reset led.demands;
+  changed led
+
+let add_entry led id entry =
+  Hashtbl.replace led.entries id entry;
+  changed led
+
+let remove_entry led id =
+  Hashtbl.remove led.entries id;
+  changed led
 
 (* Once per forward clock move: a commitment whose window has ended
    holds nothing (its reservation lay inside the window), so it leaves
-   both tables. *)
+   both tables.  A reservation that reached past its window (a tampered
+   certificate) would leave a tail in the carried residual, so any drop
+   from the entry table counts as a change. *)
 let expire led ~now =
+  let before = Hashtbl.length led.entries in
   Hashtbl.filter_map_inplace
     (fun _ ((stop, _) as e) -> if stop > now then Some e else None)
     led.entries;
+  if Hashtbl.length led.entries < before then changed led;
   Hashtbl.filter_map_inplace
     (fun _ ((w, _) as d) -> if Interval.stop w > now then Some d else None)
     led.demands
@@ -60,25 +82,37 @@ let committed led ~now =
     (fun _ (_, r) acc -> Resource_set.union acc (Resource_set.truncate_before r now))
     led.entries Resource_set.empty
 
+(* Truncation commutes pointwise with union and difference, so the
+   residual carried from [at <= now] and truncated at [now] is exactly
+   the one rebuilt at [now].  Anything else — nothing carried, a
+   backward clock move — rebuilds from the capacity and the entries. *)
 let residual led ~now =
-  match
-    Resource_set.diff
-      (Resource_set.truncate_before led.capacity now)
-      (committed led ~now)
-  with
-  | Ok r -> Ok r
-  | Error d ->
-      Error
-        (Format.asprintf
-           "reconstructed commitments exceed reconstructed capacity (%a)"
-           Resource_set.pp_deficit d)
+  match led.carried with
+  | Some (at, r) when at <= now ->
+      let r = if at < now then Resource_set.truncate_before r now else r in
+      led.carried <- Some (now, r);
+      Ok r
+  | Some _ | None -> (
+      match
+        Resource_set.diff
+          (Resource_set.truncate_before led.capacity now)
+          (committed led ~now)
+      with
+      | Ok r ->
+          led.carried <- Some (now, r);
+          Ok r
+      | Error d ->
+          Error
+            (Format.asprintf
+               "reconstructed commitments exceed reconstructed capacity (%a)"
+               Resource_set.pp_deficit d))
 
 (* Is the id admitted-and-active, as [Admission.already_admitted] would
    see it?  After [expire], whatever the tables hold is live. *)
 let is_live led id = Hashtbl.mem led.entries id || Hashtbl.mem led.demands id
 
 let release led id =
-  Hashtbl.remove led.entries id;
+  remove_entry led id;
   Hashtbl.remove led.demands id
 
 (* Recompute the aggregate baseline's feasibility table from the replayed
@@ -139,8 +173,7 @@ let audit_decision led ~now ~id ~action (cert : Certificate.t) =
        engine run of a workless job can record one. *)
     Option.iter
       (fun w ->
-        Hashtbl.replace led.entries id
-          (Interval.stop w, Certificate.reservation cert))
+        add_entry led id (Interval.stop w, Certificate.reservation cert))
       (Certificate.hull_window parts)
   in
   (match (action, cert.Certificate.evidence) with
@@ -274,6 +307,7 @@ let live_commitments t =
   Hashtbl.length t.led.entries + Hashtbl.length t.led.demands
 
 let apply_terms led terms ~f =
+  changed led;
   match terms with
   | Json.Null -> led.capacity_known <- false
   | terms -> (
@@ -312,10 +346,10 @@ let step t (e : Events.t) =
          arrives in the Capacity_joined record that follows it. *)
       None
   | Events.Commitment_revoked { id; _ } ->
-      Hashtbl.remove led.entries id;
+      remove_entry led id;
       None
   | Events.Commitment_degraded { id; released; _ } ->
-      if released then Hashtbl.remove led.entries id;
+      if released then remove_entry led id;
       None
   | Events.Completed { id } | Events.Killed { id; _ } | Events.Preempted { id; _ }
     ->

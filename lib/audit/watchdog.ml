@@ -9,8 +9,6 @@ type stats = {
   divergences : int;
 }
 
-let no_stats = { decisions = 0; verified = 0; skipped = 0; divergences = 0 }
-
 let diff_stats a b =
   {
     decisions = a.decisions - b.decisions;

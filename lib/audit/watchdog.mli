@@ -54,8 +54,6 @@ val sink : t -> Sink.t
 val stats : t -> stats
 (** Totals since {!create}. *)
 
-val no_stats : stats
-
 val diff_stats : stats -> stats -> stats
 (** [diff_stats later earlier] — the delta a scope (one engine run)
     contributed. *)

@@ -56,35 +56,63 @@ let theorem_of_name = function
 
 (* --- digests -------------------------------------------------------------- *)
 
-(* 64-bit FNV-1a, folded over the canonical segment decomposition in
-   type order.  Hashtbl.hash would do, but its value is not specified
-   across compiler versions; a trace audited on a different build must
-   recompute the same digest. *)
+(* 64-bit FNV-1a over a fixed byte stream: for each located type, in
+   type order, its name ({!Located_type.to_string}) and a 0 terminator
+   (so adjacent names cannot alias), then the start, stop and rate of
+   each of its segments as the 8 low-order-first bytes of the native
+   int.  Hashtbl.hash would do, but its value is not specified across
+   compiler versions; a trace audited on a different build must
+   recompute the same digest.
+
+   The 64-bit state lives in two 32-bit halves of native ints, so no
+   byte boxes an [Int64].  The prime is 2^40 + 0x1b3, so multiplying
+   [hi * 2^32 + lo] by it modulo 2^64 leaves [lo * 0x1b3] in the low
+   half, and its carry plus [hi * 0x1b3 + lo * 2^8] in the high half. *)
+type fnv = { mutable hi : int; mutable lo : int }
+
+(* The two halves stay in local refs for a whole word or string, so the
+   byte loop runs in registers and the record is touched once. *)
+let mix_int h i =
+  let hi = ref h.hi and lo = ref h.lo in
+  for k = 0 to 7 do
+    let l = !lo lxor ((i lsr (8 * k)) land 0xff) in
+    let p = l * 0x1b3 in
+    lo := p land 0xffff_ffff;
+    hi := ((!hi * 0x1b3) + (p lsr 32) + (l lsl 8)) land 0xffff_ffff
+  done;
+  h.hi <- !hi;
+  h.lo <- !lo
+
+let mix_string h s =
+  let hi = ref h.hi and lo = ref h.lo in
+  (* The terminator, so adjacent names cannot alias, is byte [len]. *)
+  for k = 0 to String.length s do
+    let b = if k < String.length s then Char.code (String.unsafe_get s k) else 0 in
+    let l = !lo lxor b in
+    let p = l * 0x1b3 in
+    lo := p land 0xffff_ffff;
+    hi := ((!hi * 0x1b3) + (p lsr 32) + (l lsl 8)) land 0xffff_ffff
+  done;
+  h.hi <- !hi;
+  h.lo <- !lo
+
+let hex_digits = "0123456789abcdef"
+
 let digest set =
-  let h = ref 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  let mix_byte b = h := Int64.mul (Int64.logxor !h (Int64.of_int b)) prime in
-  let mix_int i =
-    for k = 0 to 7 do
-      mix_byte ((i lsr (8 * k)) land 0xff)
-    done
-  in
-  let mix_string s =
-    String.iter (fun c -> mix_byte (Char.code c)) s;
-    (* Terminator, so adjacent strings cannot alias. *)
-    mix_byte 0
+  let h = { hi = 0xcbf2_9ce4; lo = 0x8422_2325 } in
+  let mix_segment start stop rate =
+    mix_int h start;
+    mix_int h stop;
+    mix_int h rate
   in
   Resource_set.fold
     (fun xi p () ->
-      mix_string (Located_type.to_string xi);
-      List.iter
-        (fun (s : Profile.segment) ->
-          mix_int (Interval.start s.Profile.interval);
-          mix_int (Interval.stop s.Profile.interval);
-          mix_int s.Profile.rate)
-        (Profile.segments p))
+      mix_string h (Located_type.to_string xi);
+      Profile.iter_segments mix_segment p)
     set ();
-  Printf.sprintf "%016Lx" !h
+  String.init 16 (fun k ->
+      let half = if k < 8 then h.hi else h.lo in
+      hex_digits.[(half lsr (28 - (4 * (k land 7)))) land 0xf])
 
 (* --- rectangles <-> resource sets ----------------------------------------- *)
 

@@ -2,8 +2,6 @@ open Import
 
 type verdict = Holds | Fails | Unknown of string
 
-let verdict_of_bool b = if b then Holds else Fails
-
 (* The usable remainder of a requirement window at evaluation time [at]:
    [(max(s,t), d)]. *)
 let clip window ~at =

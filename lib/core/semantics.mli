@@ -32,8 +32,6 @@ type verdict =
       (** The exploration budget ran out before a witness either way; the
           payload says which limit was hit. *)
 
-val verdict_of_bool : bool -> verdict
-
 val on_path : Path.t -> at:Time.t -> Formula.t -> bool
 (** [on_path sigma ~at psi] is [M, sigma, at |= psi], Figure 1 verbatim.
     Time points beyond the path's tip make temporal operators range over

@@ -65,10 +65,8 @@ val expired_slice : State.t -> label -> Resource_set.t
     semantics: unwanted resources that could have accommodated new
     computations. *)
 
-val step_greedy : State.t -> State.t
-(** [apply s (greedy_label s)]. *)
-
 val run_greedy : State.t -> horizon:Time.t -> State.t
-(** Iterates {!step_greedy} until the clock reaches [horizon]. *)
+(** Applies [apply s (greedy_label s)] step by step until the clock
+    reaches [horizon]. *)
 
 val pp_label : Format.formatter -> label -> unit

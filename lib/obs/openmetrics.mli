@@ -33,9 +33,6 @@ val write_file : string -> string -> unit
 (** [write_file path contents] writes atomically ([path ^ ".tmp"] then
     rename), so a concurrent scraper never reads a half-written file. *)
 
-val write_snapshot : string -> unit
-(** [write_file path (render (Metrics.snapshot ()))]. *)
-
 val snapshot_sink : ?every:int -> string -> Sink.t
 (** A sink that rewrites [path] with a fresh registry snapshot every
     [every] events it observes (default 1000, clamped to ≥ 1) and once

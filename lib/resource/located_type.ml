@@ -40,11 +40,15 @@ let locations = function
   | Cpu l | Memory l | Custom (_, l) -> [ l ]
   | Network (src, dst) -> [ src; dst ]
 
-let pp ppf = function
-  | Cpu l -> Format.fprintf ppf "<cpu,%a>" Location.pp l
-  | Memory l -> Format.fprintf ppf "<memory,%a>" Location.pp l
+(* One rendering, shared by [pp] and by everything that needs the name
+   as a string (certificate digests hash it): a plain concatenation, so
+   naming a type costs one string allocation, not a formatter. *)
+let to_string = function
+  | Cpu l -> String.concat "" [ "<cpu,"; Location.name l; ">" ]
+  | Memory l -> String.concat "" [ "<memory,"; Location.name l; ">" ]
   | Network (src, dst) ->
-      Format.fprintf ppf "<network,%a->%a>" Location.pp src Location.pp dst
-  | Custom (k, l) -> Format.fprintf ppf "<%s,%a>" k Location.pp l
+      String.concat ""
+        [ "<network,"; Location.name src; "->"; Location.name dst; ">" ]
+  | Custom (k, l) -> String.concat "" [ "<"; k; ","; Location.name l; ">" ]
 
-let to_string xi = Format.asprintf "%a" pp xi
+let pp ppf xi = Format.pp_print_string ppf (to_string xi)

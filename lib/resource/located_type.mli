@@ -41,3 +41,5 @@ val pp : Format.formatter -> t -> unit
 (** Prints in the paper's notation, e.g. [<cpu,l1>] or [<network,l1->l2>]. *)
 
 val to_string : t -> string
+(** Exactly what {!pp} prints.  Certificate digests hash this text, so
+    changing it changes every recorded residual digest. *)

@@ -28,6 +28,11 @@ let segments p =
         rate = seg_rate p i;
       })
 
+let iter_segments f p =
+  for i = 0 to nseg p - 1 do
+    f (seg_start p i) (seg_stop p i) (seg_rate p i)
+  done
+
 (* --- scratch arena -------------------------------------------------------- *)
 
 (* Merges build their result here and copy the exact-size slab out at

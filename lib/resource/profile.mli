@@ -42,6 +42,11 @@ val of_segments : (Interval.t * int) list -> t
 val segments : t -> segment list
 (** Canonical decomposition, leftmost first. *)
 
+val iter_segments : (Time.t -> Time.t -> int -> unit) -> t -> unit
+(** [iter_segments f p] calls [f start stop rate] on each segment of
+    {!segments}, in the same order, straight off the slab: nothing is
+    allocated per segment. *)
+
 val rate_at : t -> Time.t -> int
 (** Availability rate at a tick ([0] where undefined). *)
 

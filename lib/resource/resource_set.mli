@@ -91,10 +91,6 @@ val total : t -> int
 val horizon : t -> Time.t option
 (** One past the last tick with any availability. *)
 
-val map_profiles : (Located_type.t -> Profile.t -> Profile.t) -> t -> t
-(** Rebuilds the set by transforming each type's profile (empty results are
-    dropped). *)
-
 val fold : (Located_type.t -> Profile.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val update : Located_type.t -> (Profile.t -> Profile.t) -> t -> t

@@ -37,9 +37,6 @@ type policy =
 
 val policy_name : policy -> string
 
-val policy_of_name : string -> policy option
-(** Inverse of {!policy_name}; [None] for unknown names. *)
-
 val all_policies : policy list
 
 type outcome = {

@@ -62,20 +62,6 @@ val best :
 (** Head of {!evaluate} — the plan to pursue, or [None] when every
     strategy is an "infeasible pursuit" to avoid. *)
 
-val evaluate_on :
-  ?cost_model:Cost_model.t ->
-  Admission.t ->
-  window:Interval.t ->
-  name:Actor_name.t ->
-  home:Location.t ->
-  sites:Location.t list ->
-  work:Action.t list ->
-  verdict list
-(** {!evaluate} against a live admission controller: strategies are
-    priced with the controller's cost model (unless overridden) and
-    scheduled on its {e residual}, so pursuing the winning plan cannot
-    disturb already-committed reservations. *)
-
 val best_on :
   ?cost_model:Cost_model.t ->
   Admission.t ->
@@ -85,7 +71,10 @@ val best_on :
   sites:Location.t list ->
   work:Action.t list ->
   verdict option
-(** Head of {!evaluate_on}. *)
+(** {!best} against a live admission controller: strategies are priced
+    with the controller's cost model (unless overridden) and scheduled
+    on its {e residual}, so pursuing the winning plan cannot disturb
+    already-committed reservations. *)
 
 val pp_strategy : Format.formatter -> strategy -> unit
 

@@ -153,7 +153,7 @@ let query t what =
         ]
   | w -> Wire.Failed (Printf.sprintf "unknown query %S" w)
 
-let apply ?cid t (op : Wire.op) =
+let apply_op ?cid t (op : Wire.op) =
   match op with
   | Wire.Admit { now; computation; budget_ms = _ } ->
       apply_admit ?cid t ~now ~computation
@@ -167,6 +167,22 @@ let apply ?cid t (op : Wire.op) =
       ([], Wire.Failed "metrics is answered by the serving loop")
   | Wire.Ping -> ([], Wire.Pong)
   | Wire.Shutdown -> ([], Wire.Draining)
+
+(* Total: a well-formed request that makes deciding raise (a quantity
+   that overflows into a negative requirement, say) is answered
+   [Failed] with nothing logged and the replica as it was.  The
+   controller is updated functionally, so dropping its half-built
+   successor is exact; only the clock and the controller that
+   [advance_to] moved first need restoring. *)
+let apply ?cid t op =
+  let ctrl = t.ctrl and now = t.now in
+  match apply_op ?cid t op with
+  | result -> result
+  | exception Out_of_memory -> raise Out_of_memory
+  | exception e ->
+      t.ctrl <- ctrl;
+      t.now <- now;
+      ([], Wire.Failed ("request refused: " ^ Printexc.to_string e))
 
 (* --- replay ---------------------------------------------------------------- *)
 

@@ -47,7 +47,12 @@ val apply : ?cid:string -> t -> Wire.op -> Events.payload list * Wire.reply
     correlation id for the request; it is stamped into every
     {!Events.Decision} the operation produces (and echoed in the wire
     reply by the daemon), joining the durable record to the client
-    conversation. *)
+    conversation.
+
+    Never raises, except [Out_of_memory]: a request whose decision
+    raises (a hostile quantity that overflows, say) is answered
+    [Wire.Failed] with no payloads, and the replica's clock and ledger
+    are left exactly as they were. *)
 
 val replay : t -> Events.t -> (unit, string) result
 (** Feed one WAL event, in stream order.  Events the daemon never

@@ -57,9 +57,6 @@ val set_burn : Metrics.gauge -> float -> unit
 val wal_bytes : Metrics.counter
 (** [server/wal_bytes] — bytes appended to the WAL. *)
 
-val request_counter : string -> Metrics.counter
-(** [server/requests.<verb>] — interned per verb. *)
-
 val shed_counter : string -> Metrics.counter
 (** [server/shed.<slug>] — interned per {!Shed} reject slug. *)
 

@@ -19,11 +19,6 @@ type ratios = {
   network : float;  (** actual / believed for network-priced work. *)
 }
 
-val believed_demand :
-  Cost_model.t -> Trace.t -> admitted:(string -> bool) -> int * int
-(** [(cpu, network)] totals that the given model prices for the trace's
-    admitted computations and sessions ([admitted] selects by id). *)
-
 val actual_consumption : Engine.report -> int * int
 (** [(cpu, network)] totals actually consumed in a run, from the report's
     per-type stats (custom and memory kinds count as CPU-side work). *)

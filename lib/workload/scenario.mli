@@ -27,8 +27,6 @@ val default_params : params
 val with_load : params -> float -> params
 (** Scales the number of arrivals by a load factor (at least one arrival). *)
 
-val world_of : params -> Gen.world
-
 val capacity_of : params -> Resource_set.t
 (** The steady capacity of the scenario (excluding churn). *)
 

@@ -347,6 +347,178 @@ let test_explain_renders_decision () =
       | Ok _ -> Alcotest.fail "unknown id must yield no blocks"
       | Error _ -> Alcotest.fail "unknown id must not be a read error")
 
+(* --- the auditor's carried residual -------------------------------------- *)
+
+(* [Live] carries the residual it built for one decision forward by
+   truncation, and rebuilds it only after the capacity or the entry
+   table changes.  These streams are written by hand so that every kind
+   of change lands between two residual reads with no other change in
+   between, and each read is compared with a residual the test rebuilds
+   from scratch: capacity minus the live reservations, truncated at the
+   clock. *)
+module Certificate = Rota.Certificate
+module Resource_set = Rota_resource.Resource_set
+module Json = Rota_obs.Json
+
+let iv = Rota_interval.Interval.of_pair
+let cpu = Rota_resource.Located_type.cpu (Rota_resource.Location.make "l1")
+let slice rate a b = Resource_set.of_terms [ Rota_resource.Term.v rate (iv a b) cpu ]
+
+(* The test's own ledger: capacity and (id, window stop, reservation). *)
+type model = {
+  mutable cap : Resource_set.t;
+  mutable entries : (string * int * Resource_set.t) list;
+}
+
+let expected m ~now =
+  let live = List.filter (fun (_, stop, _) -> stop > now) m.entries in
+  let committed =
+    List.fold_left
+      (fun acc (_, _, r) -> Resource_set.union acc (Resource_set.truncate_before r now))
+      Resource_set.empty live
+  in
+  match Resource_set.diff (Resource_set.truncate_before m.cap now) committed with
+  | Ok r -> r
+  | Error _ -> Alcotest.fail "the scripted ledger overcommits"
+
+(* Feeds hand-made events to one [Live], numbering them and their runs. *)
+let feeder () =
+  let live = Live.create () and seq = ref 0 and run = ref 0 in
+  let step ~sim payload =
+    incr seq;
+    (match payload with Events.Run_started _ -> incr run | _ -> ());
+    Live.step live { Events.seq = !seq; run = !run; sim = Some sim; wall_s = 0.; payload }
+  in
+  (live, step)
+
+let check_residual live m ~now what =
+  match Live.residual_digest live with
+  | Ok d -> Alcotest.(check string) what (Certificate.digest (expected m ~now)) d
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let terms set = Certificate.rects_to_json (Certificate.rects_of_set set)
+
+let decision ~action ~id cert =
+  Events.Decision
+    { id; policy = "rota"; action; slug = action; certificate = Certificate.to_json cert;
+      cid = None }
+
+(* Theorem 2's greedy schedule for [q] units of cpu in [a, b), pinned to
+   the residual the model holds at [now]. *)
+let admit_cert m ~now ~window:(a, b) q =
+  let residual = expected m ~now in
+  let req =
+    Rota_resource.Requirement.make_complex
+      ~steps:[ [ Rota_resource.Requirement.amount cpu q ] ] ~window:(iv a b)
+  in
+  match Rota.Accommodation.schedule_sequential residual req with
+  | Some schedule ->
+      Certificate.of_schedules ~theorem:Certificate.T2 ~residual
+        [ (Rota_actor.Actor_name.make "a", req, schedule) ]
+  | None -> Alcotest.failf "scripted admit of %d on [%d,%d) does not fit" q a b
+
+let expect_verified what = function
+  | Some { Live.verdict = Live.Verified; _ } -> ()
+  | Some { Live.verdict = Live.Diverged ms; _ } ->
+      Alcotest.failf "%s diverged: %s" what (String.concat "; " ms)
+  | Some { Live.verdict = Live.Skipped m; _ } -> Alcotest.failf "%s skipped: %s" what m
+  | None -> Alcotest.failf "%s: no verdict" what
+
+(* A reject pinned to the model's residual: verified only if [Live]'s
+   own residual, carried or rebuilt, hashes the same. *)
+let probe step m ~sim what =
+  expect_verified what
+    (step ~sim
+       (decision ~action:"reject" ~id:("probe-" ^ what)
+          (Certificate.infeasible ~residual:(expected m ~now:sim))))
+
+let commit m id ~stop cert =
+  m.entries <- (id, stop, Certificate.reservation cert) :: m.entries
+
+let drop m id = m.entries <- List.filter (fun (i, _, _) -> i <> id) m.entries
+
+let test_carried_residual_follows_changes () =
+  let live, step = feeder () in
+  let m = { cap = slice 4 0 100; entries = [] } in
+  ignore (step ~sim:0 (Events.Run_started { label = "serve policy=rota" }));
+  ignore (step ~sim:0 (Events.Capacity_joined { quantity = 400; terms = terms m.cap }));
+  probe step m ~sim:1 "capacity";
+  (* An admit's commit. *)
+  let a = admit_cert m ~now:2 ~window:(2, 30) 40 in
+  expect_verified "admit a" (step ~sim:2 (decision ~action:"admit" ~id:"a" a));
+  commit m "a" ~stop:30 a;
+  probe step m ~sim:3 "commit";
+  let b = admit_cert m ~now:4 ~window:(4, 60) 60 in
+  expect_verified "admit b" (step ~sim:4 (decision ~action:"admit" ~id:"b" b));
+  commit m "b" ~stop:60 b;
+  probe step m ~sim:4 "second commit";
+  (* A release. *)
+  ignore (step ~sim:5 (Events.Completed { id = "a" }));
+  drop m "a";
+  probe step m ~sim:5 "release";
+  (* Capacity terms, both ways. *)
+  let extra = slice 2 10 70 in
+  ignore (step ~sim:6 (Events.Capacity_joined { quantity = 120; terms = terms extra }));
+  m.cap <- Resource_set.union m.cap extra;
+  probe step m ~sim:6 "join";
+  let lost = slice 1 80 90 in
+  ignore
+    (step ~sim:7
+       (Events.Fault_injected { fault = "revocation"; quantity = 10; terms = terms lost }));
+  m.cap <- Resource_set.diff_clamped m.cap lost;
+  probe step m ~sim:7 "revocation";
+  (* An eviction with no capacity change between it and the last read. *)
+  ignore (step ~sim:8 (Events.Commitment_revoked { id = "b"; quantity = 0 }));
+  drop m "b";
+  probe step m ~sim:8 "revoked";
+  let c = admit_cert m ~now:9 ~window:(9, 40) 20 in
+  expect_verified "admit c" (step ~sim:9 (decision ~action:"admit" ~id:"c" c));
+  commit m "c" ~stop:40 c;
+  probe step m ~sim:12 "carried forward";
+  ignore (step ~sim:13 (Events.Commitment_degraded { id = "c"; extra = 1; released = true }));
+  drop m "c";
+  probe step m ~sim:13 "degraded and released";
+  (* A run reset: nothing of the old run survives into the new one,
+     even though the clock did not move back. *)
+  ignore (step ~sim:13 (Events.Run_started { label = "serve policy=rota" }));
+  m.cap <- Resource_set.empty;
+  m.entries <- [];
+  check_residual live m ~now:13 "run reset"
+
+(* A tampered admit whose reservation reaches past its window: it
+   diverges, is tracked anyway, and leaves the ledger when the clock
+   reaches its window's stop — taking the tail past the stop with it. *)
+let test_tampered_reservation_expires () =
+  let live, step = feeder () in
+  let m = { cap = slice 3 0 100; entries = [] } in
+  ignore (step ~sim:0 (Events.Run_started { label = "serve policy=rota" }));
+  ignore (step ~sim:0 (Events.Capacity_joined { quantity = 300; terms = terms m.cap }));
+  let honest = admit_cert m ~now:2 ~window:(2, 50) 30 in
+  expect_verified "honest admit" (step ~sim:2 (decision ~action:"admit" ~id:"h" honest));
+  commit m "h" ~stop:50 honest;
+  let c = admit_cert m ~now:5 ~window:(5, 60) 120 in
+  let tampered =
+    match c.Certificate.evidence with
+    | Certificate.Schedules parts ->
+        {
+          c with
+          Certificate.evidence =
+            Certificate.Schedules
+              (List.map (fun p -> { p with Certificate.window = iv 5 20 }) parts);
+        }
+    | _ -> Alcotest.fail "admit evidence expected"
+  in
+  Alcotest.(check bool) "reservation reaches past the window" true
+    (not (Resource_set.within (Certificate.reservation tampered) (iv 5 20)));
+  (match step ~sim:5 (decision ~action:"admit" ~id:"t" tampered) with
+  | Some { Live.verdict = Live.Diverged _; _ } -> ()
+  | _ -> Alcotest.fail "the tampered admit must diverge");
+  commit m "t" ~stop:20 tampered;
+  check_residual live m ~now:5 "with the tampered reservation";
+  probe step m ~sim:19 "before the window stops";
+  probe step m ~sim:20 "at the window's stop";
+  check_residual live m ~now:20 "after the expiry"
+
 let () =
   Alcotest.run "audit"
     [
@@ -375,5 +547,12 @@ let () =
         [
           Alcotest.test_case "decision story renders" `Quick
             test_explain_renders_decision;
+        ] );
+      ( "residual",
+        [
+          Alcotest.test_case "follows every ledger change" `Quick
+            test_carried_residual_follows_changes;
+          Alcotest.test_case "tampered reservation expires with its window"
+            `Quick test_tampered_reservation_expires;
         ] );
     ]

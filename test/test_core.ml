@@ -730,6 +730,112 @@ let prop_thm4_reservations_sound =
                    s.Accommodation.reservation)
                schedules)
 
+(* --- certificate digest ----------------------------------------------------- *)
+
+(* The digest as it was first written: boxed [Int64] FNV-1a over the
+   [Profile.segments] lists, each type named by the original [Format]
+   printer.  Every recorded digest (traces, WALs, the fixtures) was
+   computed this way, so the native-int digest must agree with it on
+   every resource set. *)
+let reference_type_name xi =
+  let pp ppf = function
+    | Located_type.Cpu l -> Format.fprintf ppf "<cpu,%a>" Location.pp l
+    | Located_type.Memory l -> Format.fprintf ppf "<memory,%a>" Location.pp l
+    | Located_type.Network (src, dst) ->
+        Format.fprintf ppf "<network,%a->%a>" Location.pp src Location.pp dst
+    | Located_type.Custom (k, l) -> Format.fprintf ppf "<%s,%a>" k Location.pp l
+  in
+  Format.asprintf "%a" pp xi
+
+let reference_digest set =
+  let h = ref 0xcbf29ce484222325L in
+  let prime = 0x100000001b3L in
+  let mix_byte b = h := Int64.mul (Int64.logxor !h (Int64.of_int b)) prime in
+  let mix_int i =
+    for k = 0 to 7 do
+      mix_byte ((i lsr (8 * k)) land 0xff)
+    done
+  in
+  let mix_string s =
+    String.iter (fun c -> mix_byte (Char.code c)) s;
+    mix_byte 0
+  in
+  Resource_set.fold
+    (fun xi p () ->
+      mix_string (reference_type_name xi);
+      List.iter
+        (fun (s : Profile.segment) ->
+          mix_int (Interval.start s.Profile.interval);
+          mix_int (Interval.stop s.Profile.interval);
+          mix_int s.Profile.rate)
+        (Profile.segments p))
+    set ();
+  Printf.sprintf "%016Lx" !h
+
+(* Names of any bytes, biased towards the ones a renderer could treat
+   specially; times and rates at the edges the constructors accept. *)
+let digest_name_gen ~min =
+  QCheck.Gen.(
+    string_size
+      ~gen:(frequency [ (3, char); (1, oneofl [ '@'; '%'; '\n'; ','; '>' ]) ])
+      (int_range min 200))
+
+let digest_ltype_gen =
+  QCheck.Gen.(
+    let loc = map Location.make (digest_name_gen ~min:1) in
+    frequency
+      [
+        (2, map Located_type.cpu loc);
+        (1, map Located_type.memory loc);
+        (1, map2 (fun src dst -> Located_type.network ~src ~dst) loc loc);
+        (1, map2 Located_type.custom (digest_name_gen ~min:0) loc);
+      ])
+
+(* Disjoint segments walking right from a boundary start; the walk
+   stops before a stop would pass [max_int]. *)
+let digest_profile_gen =
+  QCheck.Gen.(
+    let edge = oneofl [ min_int; -1_000_000; -1; 0; 1; 255; 256; max_int - 64 ] in
+    let step = oneof [ oneofl [ 0; 1; 2 ]; int_bound 1_000; int_bound (1 lsl 40) ] in
+    let rate = oneof [ oneofl [ 0; 1; 2; 255; 256; max_int ]; int_range 1 1_000_000 ] in
+    let* start = edge in
+    let* segs = list_size (int_range 0 30) (triple step (map (( + ) 1) step) rate) in
+    let rec walk at acc = function
+      | [] -> List.rev acc
+      | (gap, len, r) :: rest ->
+          if at > max_int - gap - len then List.rev acc
+          else
+            let a = at + gap in
+            walk (a + len) ((iv a (a + len), r) :: acc) rest
+    in
+    return (Profile.of_segments (walk start [] segs)))
+
+let prop_digest_matches_reference =
+  QCheck.Test.make ~name:"certificate digest = Int64 reference" ~count:300
+    (QCheck.make
+       ~print:(fun set -> Format.asprintf "%a" Resource_set.pp set)
+       QCheck.Gen.(
+         map
+           (List.fold_left
+              (fun acc (xi, p) -> Resource_set.add_profile xi p acc)
+              Resource_set.empty)
+           (list_size (int_range 0 8) (pair digest_ltype_gen digest_profile_gen))))
+    (fun set ->
+      List.iter
+        (fun xi ->
+          let want = reference_type_name xi in
+          if Located_type.to_string xi <> want then
+            QCheck.Test.fail_reportf "to_string %S, Format printer %S"
+              (Located_type.to_string xi) want)
+        (Resource_set.domain set);
+      let want = reference_digest set and got = Certificate.digest set in
+      if got <> want then QCheck.Test.fail_reportf "digest %s, reference %s" got want;
+      true)
+
+let test_digest_empty () =
+  Alcotest.(check string) "FNV-1a offset basis" "cbf29ce484222325"
+    (Certificate.digest Resource_set.empty)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -737,6 +843,7 @@ let properties =
       prop_thm2_certificates_check;
       prop_thm3_lts_agrees;
       prop_thm4_reservations_sound;
+      prop_digest_matches_reference;
     ]
 
 let () =
@@ -806,5 +913,7 @@ let () =
           Alcotest.test_case "budget -> unknown" `Quick test_semantics_budget;
           Alcotest.test_case "completion path" `Quick test_completion_path;
         ] );
+      ( "digest",
+        [ Alcotest.test_case "empty set" `Quick test_digest_empty ] );
       ("properties", properties);
     ]

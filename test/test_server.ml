@@ -83,21 +83,30 @@ let ops_of ~seed =
 
 (* Drive [ops] through a live replica exactly as the daemon does:
    apply, append the payloads, sync.  [on_op] sees each op's reply and
-   the records it appended.  Returns the replica with the WAL on disk in
+   the records it appended.  With [snapshot_after = k], the WAL is
+   synced after op [k] and a snapshot saved, as the daemon saves one
+   behind a group commit.  Returns the replica with the WAL on disk in
    [dir]. *)
-let build_wal ?(on_op = fun _ _ _ _ -> ()) ~dir ~policy ops =
+let build_wal ?(on_op = fun _ _ _ _ -> ()) ?(snapshot_after = -1) ~dir ~policy
+    ops =
   match Wal.recover ~dir ~policy () with
   | Error m -> failwith ("build_wal: " ^ m)
   | Ok r ->
       let replica = r.Wal.replica and w = r.Wal.writer in
-      List.iter
-        (fun op ->
+      List.iteri
+        (fun i op ->
           let payloads, reply = Replica.apply replica op in
           let events =
             if payloads = [] then []
             else Wal.append w ~sim:(Replica.now replica) payloads
           in
-          on_op replica op reply events)
+          on_op replica op reply events;
+          if i = snapshot_after then begin
+            Wal.sync w;
+            match Wal.save_snapshot ~path:(Wal.snapshot_path ~dir) w replica with
+            | Ok () -> ()
+            | Error m -> failwith ("build_wal: save_snapshot: " ^ m)
+          end)
         ops;
       Wal.sync w;
       Wal.close w;
@@ -191,27 +200,8 @@ let test_snapshot_recovery () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let policy = Admission.Rota in
   let ops = ops_of ~seed:42 in
-  let n = List.length ops in
   let live =
-    match Wal.recover ~dir ~policy () with
-    | Error m -> Alcotest.failf "recover: %s" m
-    | Ok r ->
-        let replica = r.Wal.replica and w = r.Wal.writer in
-        List.iteri
-          (fun i op ->
-            let payloads, _ = Replica.apply replica op in
-            if payloads <> [] then
-              ignore (Wal.append w ~sim:(Replica.now replica) payloads);
-            if i = n / 2 then begin
-              Wal.sync w;
-              match Wal.save_snapshot ~path:(Wal.snapshot_path ~dir) w replica with
-              | Ok () -> ()
-              | Error m -> Alcotest.failf "save_snapshot: %s" m
-            end)
-          ops;
-        Wal.sync w;
-        Wal.close w;
-        replica
+    build_wal ~snapshot_after:(List.length ops / 2) ~dir ~policy ops
   in
   (match Wal.recover ~dir ~policy () with
   | Error m -> Alcotest.failf "recover with snapshot: %s" m
@@ -245,17 +235,24 @@ let test_snapshot_recovery () =
 (* Extra requests against the scenario's arrivals (indices wrap): the
    same id submitted again, or released, [k] ticks after the original
    start — before the deadline, where the id may still be live, or at
-   and after it, where it has expired — and releases of an id nobody
-   admitted. *)
+   and after it, where it has expired — releases of an id nobody
+   admitted, and revocations of a random slice of joined capacity,
+   which evict commitments mid-stream. *)
 type extra =
   | Resubmit of int * int
   | Release_id of int * int
   | Release_unknown of int
+  | Revoke_slice of { at : int; ty : int; from : int; len : int; rate : int }
+      (** At tick [at], revoke [rate] of the [ty]-th joined located type
+          (indices wrap) over [from, from + len) ticks after [at]. *)
 
 let pp_extra = function
   | Resubmit (i, k) -> Printf.sprintf "resubmit #%d at +%d" i k
   | Release_id (i, k) -> Printf.sprintf "release #%d at +%d" i k
   | Release_unknown t -> Printf.sprintf "release ghost at t%d" t
+  | Revoke_slice { at; ty; from; len; rate } ->
+      Printf.sprintf "revoke %d of type #%d on [+%d,+%d) at t%d" rate ty from
+        (from + len) at
 
 let extra_gen =
   QCheck.Gen.(
@@ -264,6 +261,10 @@ let extra_gen =
         (3, map2 (fun i k -> Resubmit (i, k)) (int_bound 13) (int_bound 60));
         (3, map2 (fun i k -> Release_id (i, k)) (int_bound 13) (int_bound 60));
         (1, map (fun t -> Release_unknown t) (int_bound 120));
+        ( 1,
+          let* at = int_bound 120 and* ty = int_bound 7 and* from = int_bound 30 in
+          let* len = int_range 1 40 and* rate = int_range 1 4 in
+          return (Revoke_slice { at; ty; from; len; rate }) );
       ])
 
 let op_time = function
@@ -282,6 +283,16 @@ let expiry_ops ~seed extras =
          base)
   in
   let n = Array.length arrivals in
+  let types =
+    Array.of_list
+      (List.sort_uniq Rota_resource.Located_type.compare
+         (List.concat_map
+            (function
+              | Wire.Join { terms; _ } ->
+                  List.map (fun (r : Certificate.rect) -> r.Certificate.ltype) terms
+              | _ -> [])
+            base))
+  in
   let extra = function
     | Resubmit (i, k) ->
         let c = arrivals.(i mod n) in
@@ -299,8 +310,24 @@ let expiry_ops ~seed extras =
         let c = arrivals.(i mod n) in
         Wire.Release { now = c.Computation.start + k; id = c.Computation.id }
     | Release_unknown t -> Wire.Release { now = t; id = "ghost" }
+    | Revoke_slice { at; ty; from; len; rate } ->
+        let ltype = types.(ty mod Array.length types) in
+        Wire.Revoke
+          {
+            now = at;
+            terms =
+              [
+                {
+                  Certificate.ltype;
+                  interval = Interval.of_pair (at + from) (at + from + len);
+                  rate;
+                };
+              ];
+          }
   in
-  let extras = if n = 0 then [] else List.map extra extras in
+  let extras =
+    if n = 0 || Array.length types = 0 then [] else List.map extra extras
+  in
   List.stable_sort (fun a b -> compare (op_time a) (op_time b)) (base @ extras)
 
 (* Each record the replica writes goes through an independent [Live]
@@ -374,6 +401,74 @@ let prop_served_equals_audited =
           if not (String.equal r.Wal.digest !last_digest) then
             QCheck.Test.fail_reportf "recovered digest %s, last logged %s"
               r.Wal.digest !last_digest;
+          true)
+
+(* --- recovery through a snapshot taken at any point ------------------------ *)
+
+(* Every computation is also released at its deadline (where it has
+   expired, so nothing is logged), and ids nobody admitted are released
+   at random ticks: both move the clock without a WAL record, as
+   steady-mixed's releases do.  Where the daemon happens to snapshot
+   then depends on timing, so the snapshot is taken after an arbitrary
+   op [k], behind a sync as the daemon takes it. *)
+let unlogged_release_ops ~seed ghosts =
+  let base = ops_of ~seed in
+  let at_deadline =
+    List.filter_map
+      (function
+        | Wire.Admit { computation = c; _ } ->
+            Some
+              (Wire.Release { now = c.Computation.deadline; id = c.Computation.id })
+        | _ -> None)
+      base
+  in
+  let ghosts = List.map (fun t -> Wire.Release { now = t; id = "ghost" }) ghosts in
+  List.stable_sort
+    (fun a b -> compare (op_time a) (op_time b))
+    (base @ at_deadline @ ghosts)
+
+let prop_snapshot_anywhere =
+  QCheck.Test.make ~count:100
+    ~name:"wal: recovery through a snapshot after any op = recovery from the wal"
+    QCheck.(
+      triple (int_bound 1000) (int_bound 10_000)
+        (list_of_size Gen.(int_range 0 6) (int_bound 120)))
+    (fun (seed, k_raw, ghosts) ->
+      let policy = Admission.Rota in
+      let dir = temp_dir "rota-snap-any" and bare = temp_dir "rota-snap-bare" in
+      Fun.protect ~finally:(fun () -> rm_rf dir; rm_rf bare) @@ fun () ->
+      let ops = unlogged_release_ops ~seed ghosts in
+      let k = k_raw mod List.length ops in
+      ignore (build_wal ~snapshot_after:k ~dir ~policy ops);
+      Out_channel.with_open_bin (Wal.wal_path ~dir:bare) (fun oc ->
+          Out_channel.output_string oc
+            (In_channel.with_open_bin (Wal.wal_path ~dir) In_channel.input_all));
+      match (Wal.recover ~dir ~policy (), Wal.recover ~dir:bare ~policy ()) with
+      | Error m, _ -> QCheck.Test.fail_reportf "recover through the snapshot: %s" m
+      | _, Error m -> QCheck.Test.fail_reportf "recover from the wal: %s" m
+      | Ok a, Ok b ->
+          Wal.close a.Wal.writer;
+          Wal.close b.Wal.writer;
+          if a.Wal.diverged <> 0 || b.Wal.diverged <> 0 then
+            QCheck.Test.fail_reportf "diverged: %d through the snapshot, %d from the wal"
+              a.Wal.diverged b.Wal.diverged;
+          (* The known gap: a release that logs nothing still moves the
+             clock, so a snapshot taken after one resumes at a later tick
+             than the WAL alone can reach.  The WAL's replica is never
+             ahead, and moving it to the snapshot's tick the same
+             unlogged way must leave nothing else different. *)
+          let ta = Replica.now a.Wal.replica and tb = Replica.now b.Wal.replica in
+          if ta < tb then
+            QCheck.Test.fail_reportf "through the snapshot at t%d, behind the wal's t%d"
+              ta tb;
+          if ta > tb then
+            ignore (Replica.apply b.Wal.replica (Wire.Release { now = ta; id = "ghost" }));
+          if not (same_state a.Wal.replica b.Wal.replica) then
+            QCheck.Test.fail_reportf
+              "snapshot after op %d (used: %b): digest %s, from the wal %s (t%d, \
+               recovered at t%d)"
+              k a.Wal.from_snapshot (Replica.residual_digest a.Wal.replica)
+              (Replica.residual_digest b.Wal.replica) ta tb;
           true)
 
 (* --- the shedding policy ----------------------------------------------------- *)
@@ -743,11 +838,9 @@ let read_replies ?(lines = max_int) fd =
          | Ok r -> r.Wire.reply
          | Error m -> Alcotest.failf "bad reply %S: %s" l m)
 
-(* A client that sends more than [max_line_bytes] without a newline gets
-   the replies it is owed, one [Failed], and a closed connection; the
-   daemon keeps serving everyone else, and several lines in one read
-   each get their reply. *)
-let test_overlong_line_refused () =
+(* Fork a daemon on a fresh state directory, hand its socket path to
+   [k], then require a SIGTERM drain to exit 0. *)
+let with_daemon k =
   let dir = temp_dir "rota-daemon" in
   let sock = Filename.concat dir "sock" in
   let cfg =
@@ -769,27 +862,98 @@ let test_overlong_line_refused () =
         rm_rf dir
       in
       Fun.protect ~finally @@ fun () ->
-      let ping =
-        Wire.request_to_line { Wire.tag = Json.Null; op = Wire.Ping } ^ "\n"
-      in
-      let a = connect sock in
-      let b = connect sock in
-      write_all a (ping ^ String.make (Daemon.max_line_bytes + 1) 'x') 0;
-      (match read_replies a with
-      | [ Wire.Pong; Wire.Failed _ ] -> ()
-      | rs ->
-          Alcotest.failf "over-long line: expected pong then failed, got %d \
-                          replies" (List.length rs));
-      Unix.close a;
-      write_all b (ping ^ ping ^ ping) 0;
-      (match read_replies ~lines:3 b with
-      | [ Wire.Pong; Wire.Pong; Wire.Pong ] -> ()
-      | rs -> Alcotest.failf "second connection: got %d replies" (List.length rs));
-      Unix.close b;
+      k sock;
       Unix.kill pid Sys.sigterm;
       match Unix.waitpid [] pid with
       | _, Unix.WEXITED 0 -> ()
       | _ -> Alcotest.fail "daemon did not drain cleanly"
+
+let request_line op = Wire.request_to_line { Wire.tag = Json.Null; op } ^ "\n"
+let ping = request_line Wire.Ping
+
+(* A client that sends more than [max_line_bytes] without a newline gets
+   the replies it is owed, one [Failed], and a closed connection; the
+   daemon keeps serving everyone else, and several lines in one read
+   each get their reply. *)
+let test_overlong_line_refused () =
+  with_daemon @@ fun sock ->
+  let a = connect sock in
+  let b = connect sock in
+  write_all a (ping ^ String.make (Daemon.max_line_bytes + 1) 'x') 0;
+  (match read_replies a with
+  | [ Wire.Pong; Wire.Failed _ ] -> ()
+  | rs ->
+      Alcotest.failf "over-long line: expected pong then failed, got %d \
+                      replies" (List.length rs));
+  Unix.close a;
+  write_all b (ping ^ ping ^ ping) 0;
+  (match read_replies ~lines:3 b with
+  | [ Wire.Pong; Wire.Pong; Wire.Pong ] -> ()
+  | rs -> Alcotest.failf "second connection: got %d replies" (List.length rs));
+  Unix.close b
+
+(* --- hostile numbers ----------------------------------------------------------- *)
+
+(* A well-formed admit whose evaluate complexity, priced at the default
+   cost model's 8 per unit, overflows to a negative CPU quantity, so
+   deciding it raises out of [Requirement.amount].  (Complexities 2^60
+   and 2^61 wrap to 0 instead, and are admitted: the wire does not bound
+   its numbers yet.) *)
+let poison_admit ~now =
+  let name = Rota_actor.Actor_name.make "poison.a0" in
+  let computation =
+    Computation.make ~id:"poison" ~start:now ~deadline:(now + 40)
+      [
+        Rota_actor.Program.make ~name ~home:(Rota_resource.Location.make "l1")
+          [ Rota_actor.Action.evaluate (1 lsl 59) ];
+      ]
+  in
+  Wire.Admit { now; computation; budget_ms = None }
+
+(* Deciding raises, [apply] does not: the reply is [Failed], nothing is
+   to be logged, and the clock and ledger are as they were, although
+   the request's [now] would have moved the clock first. *)
+let test_apply_total () =
+  let replica = Replica.create Admission.Rota in
+  let ops = ops_of ~seed:4 in
+  List.iteri
+    (fun i op ->
+      if i < List.length ops / 2 then ignore (Replica.apply replica op))
+    ops;
+  let before =
+    match Replica.restore (Replica.snapshot replica) with
+    | Ok copy -> copy
+    | Error m -> Alcotest.failf "copy: %s" m
+  in
+  let now = Replica.now replica in
+  Alcotest.(check bool) "ledger in use" true
+    (Admission.ledger_size (Replica.controller replica) > 0);
+  let payloads, reply = Replica.apply replica (poison_admit ~now:(now + 7)) in
+  (match reply with
+  | Wire.Failed _ -> ()
+  | _ -> Alcotest.fail "a raising decision must answer failed");
+  Alcotest.(check int) "no payloads" 0 (List.length payloads);
+  Alcotest.(check int) "clock unchanged" now (Replica.now replica);
+  Alcotest.(check string) "digest unchanged" (Replica.residual_digest before)
+    (Replica.residual_digest replica);
+  Alcotest.(check bool) "ledger unchanged" true (same_state before replica)
+
+(* The same line against a live daemon: its sender gets [Failed], and
+   the daemon lives on to answer a second connection. *)
+let test_poison_line_survived () =
+  with_daemon @@ fun sock ->
+  let a = connect sock in
+  write_all a (request_line (poison_admit ~now:5)) 0;
+  (match read_replies ~lines:1 a with
+  | [ Wire.Failed _ ] -> ()
+  | rs -> Alcotest.failf "poison admit: expected failed, got %d replies" (List.length rs));
+  let b = connect sock in
+  write_all b ping 0;
+  (match read_replies ~lines:1 b with
+  | [ Wire.Pong ] -> ()
+  | rs -> Alcotest.failf "second connection: got %d replies" (List.length rs));
+  Unix.close a;
+  Unix.close b
 
 let () =
   Alcotest.run "server"
@@ -800,6 +964,7 @@ let () =
              Alcotest.test_case "snapshot-assisted recovery" `Quick
                test_snapshot_recovery;
              QCheck_alcotest.to_alcotest prop_served_equals_audited;
+             QCheck_alcotest.to_alcotest prop_snapshot_anywhere;
            ] );
       ( "shed",
         [
@@ -817,6 +982,10 @@ let () =
             test_overlong_line_refused;
           Alcotest.test_case "computation without programs refused" `Quick
             test_wire_refuses_workless;
+          Alcotest.test_case "raising decision answered failed" `Quick
+            test_apply_total;
+          Alcotest.test_case "poison line leaves the daemon serving" `Quick
+            test_poison_line_survived;
         ] );
       ( "scrape",
         [
