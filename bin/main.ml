@@ -878,88 +878,61 @@ let parse_endpoint s =
       | _ -> Rota_server.Daemon.Unix_socket s)
   | None -> Rota_server.Daemon.Unix_socket s
 
-let connect_endpoint address =
-  match address with
-  | Rota_server.Daemon.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-  | Rota_server.Daemon.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      let addr =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      Unix.connect fd (Unix.ADDR_INET (addr, port));
-      fd
-
-(* Minimal HTTP/1.0 GET against the daemon's --metrics-listen endpoint:
-   send the request, read to EOF, return the body. *)
-let http_scrape address =
-  match connect_endpoint address with
-  | exception Unix.Unix_error (e, _, s) ->
-      Error (Printf.sprintf "connect %s: %s" s (Unix.error_message e))
-  | fd -> (
-      Fun.protect ~finally:(fun () ->
-          try Unix.close fd with Unix.Unix_error _ -> ())
-      @@ fun () ->
-      let req = "GET /metrics HTTP/1.0\r\nHost: rota\r\n\r\n" in
-      let rec send pos =
-        if pos < String.length req then
-          send (pos + Unix.write_substring fd req pos (String.length req - pos))
-      in
-      send 0;
-      let buf = Buffer.create 4096 in
-      let bytes = Bytes.create 8192 in
-      let rec recv () =
-        match Unix.read fd bytes 0 8192 with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes buf bytes 0 n;
-            recv ()
-      in
-      (try recv ()
-       with Unix.Unix_error (e, _, _) ->
-         if Buffer.length buf = 0 then raise (Sys_error (Unix.error_message e)));
-      let raw = Buffer.contents buf in
-      let find_substring sep =
-        let n = String.length sep and len = String.length raw in
-        let rec go i =
-          if i + n > len then None
-          else if String.sub raw i n = sep then Some i
-          else go (i + 1)
-        in
-        go 0
-      in
-      let body_at sep =
-        Option.map
-          (fun i -> String.sub raw (i + String.length sep)
-              (String.length raw - i - String.length sep))
-          (find_substring sep)
-      in
-      match body_at "\r\n\r\n" with
-      | Some body -> Ok body
-      | None -> (
-          match body_at "\n\n" with
-          | Some body -> Ok body
-          | None -> Error "malformed HTTP response (no header terminator)"))
+(* One wire [metrics] call on an open daemon connection: the reply's
+   exposition text and its registry as sample events.  [rota metrics
+   scrape] and [rota top --connect] both read the daemon this way. *)
+let wire_metrics fd ic =
+  let line =
+    Rota_server.Wire.request_to_line
+      { Rota_server.Wire.tag = Rota_obs.Json.Null; op = Rota_server.Wire.Metrics }
+    ^ "\n"
+  in
+  let rec send pos =
+    if pos < String.length line then
+      send (pos + Unix.write_substring fd line pos (String.length line - pos))
+  in
+  send 0;
+  match Rota_server.Wire.response_of_line (input_line ic) with
+  | Error m -> Error ("bad response: " ^ m)
+  | Ok
+      {
+        Rota_server.Wire.reply =
+          Rota_server.Wire.Metrics_snapshot { exposition; samples };
+        _;
+      } ->
+      Ok (exposition, samples)
+  | Ok _ -> Error "daemon did not answer the metrics verb"
 
 let metrics_scrape_cmd =
   let addr_pos =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"ADDR"
              ~doc:
-               "The daemon's $(b,--metrics-listen) endpoint: a Unix socket \
-                path or HOST:PORT.")
+               "The daemon's address ($(b,--socket) or $(b,--tcp) of \
+                $(b,rota serve)): a Unix socket path or HOST:PORT.")
   in
   let out_arg =
     Arg.(value & opt string "-" & info [ "o"; "out" ] ~docv:"FILE"
            ~doc:"Write the exposition to $(docv) (atomically) instead of \
                  stdout.")
   in
+  let scrape addr =
+    match Rota_server.Daemon.connect (parse_endpoint addr) with
+    | exception Unix.Unix_error (e, _, s) ->
+        Error (Printf.sprintf "connect %s: %s" s (Unix.error_message e))
+    | fd ->
+        Fun.protect ~finally:(fun () ->
+            try Unix.close fd with Unix.Unix_error _ -> ())
+        @@ fun () ->
+        (try wire_metrics fd (Unix.in_channel_of_descr fd) with
+        | End_of_file -> Error "daemon closed the connection"
+        | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+        | Sys_error m -> Error m)
+        |> Result.map fst
+  in
   let run addr out =
-    match http_scrape (parse_endpoint addr) with
-    | Error m | (exception Sys_error m) ->
+    match scrape addr with
+    | Error m ->
         Printf.eprintf "rota metrics scrape: %s\n" m;
         1
     | Ok body -> (
@@ -976,9 +949,9 @@ let metrics_scrape_cmd =
               1))
   in
   let doc =
-    "Fetch one OpenMetrics exposition from a running daemon's \
-     $(b,--metrics-listen) endpoint (a curl-free HTTP GET), for piping \
-     into $(b,rota metrics lint) or a file-based collector."
+    "Fetch one OpenMetrics exposition from a running daemon through the \
+     wire $(b,metrics) verb on its own socket, for piping into $(b,rota \
+     metrics lint) or, with $(b,-o), a file-based collector."
   in
   Cmd.v (Cmd.info "scrape" ~doc) Term.(const run $ addr_pos $ out_arg)
 
@@ -1023,7 +996,7 @@ let top_cmd =
               $(b,--interval) seconds and render the returned samples.")
   in
   let run_connected ~addr ~once ~interval ~idle_exit:_ ~width ~quit_requested =
-    match connect_endpoint (parse_endpoint addr) with
+    match Rota_server.Daemon.connect (parse_endpoint addr) with
     | exception Unix.Unix_error (e, _, s) ->
         Format.eprintf "rota top: connect %s: %s@." s (Unix.error_message e);
         1
@@ -1033,32 +1006,16 @@ let top_cmd =
             try Unix.close fd with Unix.Unix_error _ -> ())
         @@ fun () ->
         let st = Rota_obs.Top.create ~source:("live " ^ addr) () in
-        let line =
-          Rota_server.Wire.request_to_line
-            { Rota_server.Wire.tag = Rota_obs.Json.Null;
-              op = Rota_server.Wire.Metrics }
-          ^ "\n"
-        in
         let scrape () =
-          let rec send pos =
-            if pos < String.length line then
-              send
-                (pos
-                + Unix.write_substring fd line pos (String.length line - pos))
-          in
-          send 0;
-          match Rota_server.Wire.response_of_line (input_line ic) with
-          | Error m -> Error ("bad response: " ^ m)
-          | Ok { Rota_server.Wire.reply = Rota_server.Wire.Metrics_snapshot
-                     { samples; _ }; _ } ->
+          Result.map
+            (fun (_, samples) ->
               List.iter
                 (fun j ->
                   match Rota_obs.Events.of_json j with
                   | Ok e -> Rota_obs.Top.step st e
                   | Error _ -> ())
-                samples;
-              Ok ()
-          | Ok _ -> Error "daemon did not answer the metrics verb"
+                samples)
+            (wire_metrics fd ic)
         in
         let redraw ~following =
           if following then print_string "\027[H\027[2J";
@@ -1391,32 +1348,6 @@ let serve_cmd =
            ~doc:"Snapshot admission state every $(docv) decided requests \
                  (and on graceful shutdown).")
   in
-  let decide_delay_arg =
-    Arg.(value & opt float 0. & info [ "decide-delay-ms" ] ~docv:"MS"
-           ~doc:"Testing: add artificial latency to every decision, to \
-                 provoke overload deterministically.")
-  in
-  let metrics_listen_arg =
-    Arg.(value & opt (some string) None
-         & info [ "metrics-listen" ] ~docv:"ADDR"
-             ~doc:
-               "Answer HTTP scrapes with the OpenMetrics exposition on \
-                $(docv) (a Unix socket path or HOST:PORT), served from the \
-                same select loop as the wire protocol.  Pair with \
-                $(b,rota metrics scrape) or any Prometheus-style agent.")
-  in
-  let serve_metrics_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "metrics-out" ] ~docv:"FILE"
-             ~doc:
-               "Atomically rewrite an OpenMetrics snapshot of the daemon's \
-                registry to $(docv) every $(b,--metrics-every) observed \
-                events, and once at drain.")
-  in
-  let serve_metrics_every_arg =
-    Arg.(value & opt int 256 & info [ "metrics-every" ] ~docv:"N"
-           ~doc:"With $(b,--metrics-out): events between rewrites.")
-  in
   let no_telemetry_arg =
     Arg.(value & flag
          & info [ "no-telemetry" ]
@@ -1443,20 +1374,17 @@ let serve_cmd =
               binary trace — on SIGQUIT, the first audit divergence, a \
               shed storm, or a fatal error.")
   in
-  let run address_r dir policy max_queue budget_ms snapshot_every
-      decide_delay_ms metrics_listen metrics_out metrics_every no_telemetry
+  let run address_r dir policy max_queue budget_ms snapshot_every no_telemetry
       slo_budget flight_capacity =
     match address_r with
     | Error m ->
         prerr_endline ("rota serve: " ^ m);
         2
     | Ok address -> (
-        let metrics_listen = Option.map parse_endpoint metrics_listen in
         let cfg =
           Rota_server.Daemon.config ~max_queue ~default_budget_ms:budget_ms
-            ~snapshot_every ~decide_delay_ms:decide_delay_ms
-            ~telemetry:(not no_telemetry) ?metrics_listen ?metrics_out
-            ~metrics_every ~slo_budget ~flight_capacity ~dir ~address policy
+            ~snapshot_every ~telemetry:(not no_telemetry) ~slo_budget
+            ~flight_capacity ~dir ~address policy
         in
         let on_ready (r : Rota_server.Wal.recovery) =
           Printf.printf
@@ -1474,13 +1402,7 @@ let serve_cmd =
                re-verified, %d diverged), residual digest %s\n%!"
               r.Rota_server.Wal.scanned r.Rota_server.Wal.replayed
               r.Rota_server.Wal.verified r.Rota_server.Wal.diverged
-              r.Rota_server.Wal.digest;
-          match cfg.Rota_server.Daemon.metrics_listen with
-          | Some (Rota_server.Daemon.Unix_socket p) ->
-              Printf.printf "rota serve: metrics on %s\n%!" p
-          | Some (Rota_server.Daemon.Tcp (h, p)) ->
-              Printf.printf "rota serve: metrics on %s:%d\n%!" h p
-          | None -> ()
+              r.Rota_server.Wal.digest
         in
         match Rota_server.Daemon.run ~on_ready cfg with
         | Ok () ->
@@ -1499,9 +1421,8 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ address_args $ dir_arg $ policy_arg $ max_queue_arg
-      $ budget_arg $ snapshot_every_arg $ decide_delay_arg
-      $ metrics_listen_arg $ serve_metrics_out_arg $ serve_metrics_every_arg
-      $ no_telemetry_arg $ slo_budget_arg $ flight_capacity_arg)
+      $ budget_arg $ snapshot_every_arg $ no_telemetry_arg $ slo_budget_arg
+      $ flight_capacity_arg)
 
 let load_cmd =
   let connections_arg =

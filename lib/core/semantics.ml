@@ -44,6 +44,8 @@ let rec on_path path ~at psi =
   | Always psi ->
       List.for_all (fun t -> on_path path ~at:t psi) (times_after path at)
 
+(* The natural exploration bound: the latest of the formula's deadlines
+   and the availability horizon (at least one tick past [now]). *)
 let default_horizon (state : State.t) psi =
   let now = state.State.now in
   let candidates =
@@ -161,13 +163,6 @@ let completion_path ?(budget = 200_000) (state : State.t) ~computation =
       | Some path -> Completed path
       | None -> Impossible
       | exception Out_of_budget -> Budget_exhausted { budget })
-
-let pp_completion ppf = function
-  | Completed path ->
-      Format.fprintf ppf "completed at %a" Time.pp (Path.tip path).State.now
-  | Impossible -> Format.pp_print_string ppf "impossible"
-  | Budget_exhausted { budget } ->
-      Format.fprintf ppf "budget exhausted after %d transitions" budget
 
 let pp_verdict ppf = function
   | Holds -> Format.pp_print_string ppf "holds"

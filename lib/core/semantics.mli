@@ -37,10 +37,6 @@ val on_path : Path.t -> at:Time.t -> Formula.t -> bool
     Time points beyond the path's tip make temporal operators range over
     the empty set ([eventually] false, [always] true). *)
 
-val default_horizon : State.t -> Formula.t -> Time.t
-(** The natural exploration bound: the latest of the formula's deadlines
-    and the availability horizon (at least one tick past [now]). *)
-
 val exists_path :
   ?horizon:Time.t -> ?budget:int -> State.t -> Formula.t -> verdict
 (** [exists_path state psi]: does {e some} computation path from [state]
@@ -74,7 +70,5 @@ val completion_path :
     Memoized on visited states; [Impossible] is exact (the budget was
     not hit), [Budget_exhausted] reports an inconclusive search as a
     structured outcome instead of raising. *)
-
-val pp_completion : Format.formatter -> completion -> unit
 
 val pp_verdict : Format.formatter -> verdict -> unit

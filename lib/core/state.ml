@@ -158,12 +158,6 @@ let tick s =
   let now = Time.succ s.now in
   { s with now; available = Resource_set.truncate_before s.available now }
 
-let residual_demand s =
-  List.map
-    (fun p ->
-      Requirement.make_simple ~amounts:(List.concat p.steps) ~window:p.window)
-    s.pending
-
 let compare a b =
   match Time.compare a.now b.now with
   | 0 -> (

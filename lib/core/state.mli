@@ -107,16 +107,9 @@ val tick : t -> t
 
 (** {1 Structure} *)
 
-val residual_demand : t -> Requirement.simple list
-(** One simple requirement per pending actor: its aggregate remaining
-    amounts over its window (order forgotten).  A cheap necessary
-    condition used by baselines and diagnostics. *)
-
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
 (** Total order; states are memoization keys in the model checker. *)
 
 val pp : Format.formatter -> t -> unit
-
-val pp_pending : Format.formatter -> pending -> unit

@@ -158,14 +158,3 @@ let rec run_greedy (s : State.t) ~horizon =
   else
     let next = step_greedy s in
     run_greedy next ~horizon
-
-let pp_label ppf = function
-  | [] -> Format.pp_print_string ppf "expire"
-  | label ->
-      let pp_assignment ppf a =
-        Format.fprintf ppf "%a->%a" Located_type.pp a.ltype Actor_name.pp
-          a.actor
-      in
-      Format.pp_print_list
-        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-        pp_assignment ppf label

@@ -68,5 +68,3 @@ val expired_slice : State.t -> label -> Resource_set.t
 val run_greedy : State.t -> horizon:Time.t -> State.t
 (** Applies [apply s (greedy_label s)] step by step until the clock
     reaches [horizon]. *)
-
-val pp_label : Format.formatter -> label -> unit

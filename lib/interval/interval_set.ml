@@ -4,7 +4,6 @@ type t = Interval.t list
 
 let empty = []
 let is_empty s = s = []
-let of_interval i = [ i ]
 let intervals s = s
 
 (* Merge a sorted-by-start list, coalescing overlapping/adjacent runs. *)

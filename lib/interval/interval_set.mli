@@ -14,8 +14,6 @@ val empty : t
 
 val is_empty : t -> bool
 
-val of_interval : Interval.t -> t
-
 val of_list : Interval.t list -> t
 (** Builds the union of arbitrary (possibly overlapping, unsorted)
     intervals. *)

@@ -50,6 +50,7 @@ type histogram = {
   mutable max_seen : float;
 }
 
+(* Log-spaced latency buckets in seconds, 100ns .. 10s. *)
 let default_buckets =
   [|
     1e-7; 2.5e-7; 5e-7; 1e-6; 2.5e-6; 5e-6; 1e-5; 2.5e-5; 5e-5; 1e-4;

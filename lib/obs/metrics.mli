@@ -44,9 +44,6 @@ val gauge_value : gauge -> int
 
 type histogram
 
-val default_buckets : float array
-(** Log-spaced latency buckets in seconds, 100ns .. 10s. *)
-
 val histogram : ?buckets:float array -> string -> histogram
 (** Find or create.  [buckets] must be strictly ascending.  Raises
     [Invalid_argument] on an empty or unsorted bucket array, and also

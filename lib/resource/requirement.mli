@@ -82,8 +82,6 @@ val equal_complex : complex -> complex -> bool
 
 val equal_concurrent : concurrent -> concurrent -> bool
 
-val compare_complex : complex -> complex -> int
-
 val pp_amount : Format.formatter -> amount -> unit
 
 val pp_simple : Format.formatter -> simple -> unit

@@ -72,10 +72,6 @@ let add_profile xi p set =
   if Profile.is_empty p then set
   else update xi (fun q -> Profile.add q p) set
 
-let add_term term set =
-  let xi = Term.ltype term in
-  put xi (Profile.add (find xi set) (Profile.of_terms [ term ])) set
-
 let of_pairs pairs =
   match pairs with
   | [] -> empty

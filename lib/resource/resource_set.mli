@@ -25,8 +25,6 @@ val to_terms : t -> Term.t list
 (** The canonical terms, grouped by type in type order, each type's terms
     in time order. *)
 
-val add_term : Term.t -> t -> t
-
 val add_profile : Located_type.t -> Profile.t -> t -> t
 (** [add_profile xi p set] adds [p] pointwise to the availability of
     [xi] — the union of a single-type slice without going through an

@@ -14,6 +14,9 @@ let strategies ~home ~sites =
   (Stay :: List.map (fun s -> Relocate s) away)
   @ List.map (fun s -> Round_trip s) away
 
+(* The plan as an actor program: the work bracketed by the strategy's
+   migrations.  The [work] actions are location-transparent (they
+   execute wherever the actor is). *)
 let program_of strategy ~name ~home ~work =
   let actions =
     match strategy with

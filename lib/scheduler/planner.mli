@@ -32,12 +32,6 @@ type verdict = {
 val strategies : home:Location.t -> sites:Location.t list -> strategy list
 (** [Stay], plus [Relocate]/[Round_trip] for every site other than home. *)
 
-val program_of :
-  strategy -> name:Actor_name.t -> home:Location.t -> work:Action.t list -> Program.t
-(** The plan as an actor program: the work bracketed by the strategy's
-    migrations.  The [work] actions are location-transparent (they execute
-    wherever the actor is). *)
-
 val evaluate :
   ?cost_model:Cost_model.t ->
   Resource_set.t ->

@@ -232,8 +232,6 @@ let attempt ?backoff ?attempt controller ~now v =
     outcome
   end
 
-let pp_rung ppf r = Format.pp_print_string ppf (rung_name r)
-
 let pp_outcome ppf = function
   | Repaired r -> Format.fprintf ppf "repaired (%s)" (rung_name r.rung)
   | Retry { at; attempt } ->

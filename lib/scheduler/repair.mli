@@ -95,6 +95,4 @@ val attempt :
     ([reaccommodate], [migrate], [retry], or [preempted]) — the same
     per-policy label convention as the admission series. *)
 
-val pp_rung : Format.formatter -> rung -> unit
-
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -10,19 +10,14 @@ type config = {
   max_queue : int;
   default_budget_ms : float;
   snapshot_every : int;
-  decide_delay_ms : float;
   max_connections : int;
   telemetry : bool;
-  metrics_listen : address option;
-  metrics_out : string option;
-  metrics_every : int;
   slo_budget : float;
   flight_capacity : int;
 }
 
 let config ?(max_queue = 512) ?(default_budget_ms = 250.) ?(snapshot_every = 512)
-    ?(decide_delay_ms = 0.) ?(max_connections = 64) ?(telemetry = true)
-    ?metrics_listen ?metrics_out ?(metrics_every = 256) ?(slo_budget = 0.01)
+    ?(max_connections = 64) ?(telemetry = true) ?(slo_budget = 0.01)
     ?(flight_capacity = 4096) ?cost_model ~dir ~address policy =
   {
     dir;
@@ -32,66 +27,29 @@ let config ?(max_queue = 512) ?(default_budget_ms = 250.) ?(snapshot_every = 512
     max_queue;
     default_budget_ms;
     snapshot_every;
-    decide_delay_ms;
     max_connections;
     telemetry;
-    metrics_listen;
-    metrics_out;
-    metrics_every;
     slo_budget;
     flight_capacity;
   }
+
+let max_line_bytes = 1 lsl 20
+let max_unsent_bytes = 1 lsl 20
+let drain_grace_s = 1.0
 
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;  (* the unterminated tail of the last read *)
   outq : string Queue.t;
   mutable out_off : int;  (* bytes of [Queue.peek outq] already written *)
+  mutable unsent : int;  (* reply bytes in [outq] not yet written *)
+  mutable owed : int;  (* lines submitted whose reply has not come back *)
+  mutable stalled_since : float;
+      (* draining: when the replies stopped moving; [0.] while they move *)
   mutable alive : bool;
   mutable refused : bool;
       (* sent an over-long line: read no more, close once answered *)
 }
-
-let max_line_bytes = 1 lsl 20
-
-type work = Decide of Wire.op | Ready of Wire.reply
-
-type item = {
-  conn : conn;
-  tag : Json.t;
-  cid : string;  (* the daemon's correlation id for this request *)
-  span : int;  (* pre-allocated [server/request] span id *)
-  work : work;
-  recv : float;  (* wall time the request line arrived (parse began) *)
-  enqueued : float;
-  budget_ms : float option;
-}
-
-(* A metrics-scrape connection: one HTTP/1.0 request in, one response
-   out, close.  Deliberately separate from [conn] — scrapers speak HTTP,
-   never the JSONL wire protocol, and never touch the replica. *)
-type scrape = {
-  sfd : Unix.file_descr;
-  sbuf : Buffer.t;
-  mutable sout : string;  (* response bytes not yet written *)
-  mutable soff : int;
-  mutable sreplied : bool;
-}
-
-type stats = {
-  mutable decided : int;
-  mutable admitted : int;
-  mutable rejected : int;
-  mutable shed : int;
-  mutable failed : int;
-}
-
-let batch_size = 64
-
-(* Cumulative sheds that trigger the one shed-storm flight dump: enough
-   that a handful of stragglers in a normal drain never fires it, small
-   enough that a real storm is captured while it is still ongoing. *)
-let shed_storm_threshold = 128
 
 let stop_requested = ref false
 let quit_requested = ref false
@@ -106,30 +64,34 @@ let install_signals () =
   (* Peer hangups surface as write errors, not process death. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let listen_on address =
-  match address with
-  | Unix_socket path ->
-      if Sys.file_exists path then Unix.unlink path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      Unix.set_nonblock fd;
-      fd
+let sockaddr = function
+  | Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
   | Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
       let addr =
         try (Unix.gethostbyname host).Unix.h_addr_list.(0)
         with Not_found -> Unix.inet_addr_of_string host
       in
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 64;
-      Unix.set_nonblock fd;
-      fd
+      (Unix.PF_INET, Unix.ADDR_INET (addr, port))
 
-let push_response conn response =
-  if conn.alive then
-    Queue.add (Wire.response_to_line response ^ "\n") conn.outq
+let connect address =
+  let domain, addr = sockaddr address in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd addr
+   with e ->
+     Unix.close fd;
+     raise e);
+  fd
+
+let listen_on address =
+  let domain, addr = sockaddr address in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (match address with
+  | Unix_socket path -> if Sys.file_exists path then Unix.unlink path
+  | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
+  Unix.bind fd addr;
+  Unix.listen fd 64;
+  Unix.set_nonblock fd;
+  fd
 
 (* One select round's worth of writing to a connection; partial writes
    keep their offset into the head chunk. *)
@@ -140,6 +102,8 @@ let write_some conn =
       let chunk = Queue.peek conn.outq in
       let len = String.length chunk - conn.out_off in
       let n = Unix.write_substring conn.fd chunk conn.out_off len in
+      conn.unsent <- conn.unsent - n;
+      if n > 0 then conn.stalled_since <- 0.;
       if n = len then begin
         ignore (Queue.pop conn.outq);
         conn.out_off <- 0
@@ -155,26 +119,158 @@ let write_some conn =
       true
   | Unix.Unix_error _ -> false
 
-let content_type = "application/openmetrics-text; version=1.0.0; charset=utf-8"
+let deliver (conn, line) =
+  conn.owed <- conn.owed - 1;
+  if conn.alive then begin
+    Queue.add line conn.outq;
+    conn.unsent <- conn.unsent + String.length line
+  end
 
-let http_response body =
-  Printf.sprintf
-    "HTTP/1.0 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
-     close\r\n\r\n%s"
-    content_type (String.length body) body
-
-(* End of an HTTP request head: a blank line.  The whole GET fits in one
-   or two reads in practice, but a byte-at-a-time client works too. *)
-let has_blank_line s =
-  let rec go i =
-    if i + 1 >= String.length s then false
-    else if s.[i] = '\n' && (s.[i + 1] = '\n' || (s.[i + 1] = '\r' && i + 2 < String.length s && s.[i + 2] = '\n'))
-    then true
-    else go (i + 1)
+(* The socket loop: accept, read and split lines, hand them to the
+   pipeline, write its replies, and drain on request. *)
+let serve cfg pipeline listener =
+  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
+  let chunk = Bytes.create 8192 in
+  let close_conn conn =
+    if conn.alive then begin
+      conn.alive <- false;
+      Hashtbl.remove conns conn.fd;
+      Pipeline.set_connections pipeline (Hashtbl.length conns);
+      try Unix.close conn.fd with Unix.Unix_error _ -> ()
+    end
   in
-  String.length s >= 2 && (String.sub s 0 1 = "\n" || go 0)
-
-let flight_file ~dir = Filename.concat dir (Printf.sprintf "flight-%d.rotb" (Unix.getpid ()))
+  let rec accept_all () =
+    match Unix.accept listener with
+    | fd, _ ->
+        Unix.set_nonblock fd;
+        Hashtbl.replace conns fd
+          {
+            fd;
+            inbuf = Buffer.create 256;
+            outq = Queue.create ();
+            out_off = 0;
+            unsent = 0;
+            owed = 0;
+            stalled_since = 0.;
+            alive = true;
+            refused = false;
+          };
+        Pipeline.set_connections pipeline (Hashtbl.length conns);
+        accept_all ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  (* Only the fresh bytes are scanned: [inbuf] holds just the
+     unterminated tail, never a newline, so splitting is linear in the
+     bytes read.  A line past [max_line_bytes] gets one [Failed] reply,
+     queued behind the connection's earlier requests, and then the
+     connection closes. *)
+  let feed conn n =
+    let rec split start =
+      let stop =
+        match Bytes.index_from_opt chunk start '\n' with
+        | Some i when i < n -> i
+        | _ -> n
+      in
+      Buffer.add_subbytes conn.inbuf chunk start (stop - start);
+      if Buffer.length conn.inbuf > max_line_bytes then begin
+        conn.refused <- true;
+        Buffer.reset conn.inbuf;
+        conn.owed <- conn.owed + 1;
+        Pipeline.refuse pipeline conn
+          (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)
+      end
+      else if stop < n then begin
+        let line = String.trim (Buffer.contents conn.inbuf) in
+        Buffer.clear conn.inbuf;
+        if line <> "" then begin
+          conn.owed <- conn.owed + 1;
+          Pipeline.submit pipeline conn line
+        end;
+        split (stop + 1)
+      end
+    in
+    split 0
+  in
+  let read conn =
+    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+    | 0 -> close_conn conn
+    | n -> feed conn n
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        ()
+    | exception Unix.Unix_error _ -> close_conn conn
+  in
+  (* After a round's replies: flush what can be written, close refused
+     connections once everything they were owed is out, and — while
+     draining with nothing left to decide — close connections whose
+     replies have not moved for [drain_grace_s]. *)
+  let settle ~quiet =
+    let now = if quiet then Unix.gettimeofday () else 0. in
+    let finished =
+      Hashtbl.fold
+        (fun _ c acc ->
+          if c.unsent > 0 && not (write_some c) then c :: acc
+          else if c.refused && c.owed = 0 && c.unsent = 0 then c :: acc
+          else if quiet && c.unsent > 0 then
+            if c.stalled_since = 0. then begin
+              c.stalled_since <- now;
+              acc
+            end
+            else if now -. c.stalled_since >= drain_grace_s then c :: acc
+            else acc
+          else acc)
+        conns []
+    in
+    List.iter close_conn finished
+  in
+  let rec loop () =
+    if !quit_requested then begin
+      quit_requested := false;
+      Pipeline.dump_flight pipeline "sigquit";
+      stop_requested := true
+    end;
+    let draining = !stop_requested || Pipeline.draining pipeline in
+    (* Backpressure: a full queue stops all reading and accepting, so
+       overload waits in kernel buffers and connect queues, not here. *)
+    let reads =
+      if draining || Pipeline.queued pipeline >= cfg.max_queue then []
+      else
+        Hashtbl.fold
+          (fun fd c acc ->
+            if c.refused || c.unsent > max_unsent_bytes then acc else fd :: acc)
+          conns
+          (if Hashtbl.length conns < cfg.max_connections then [ listener ]
+           else [])
+    in
+    let writes =
+      Hashtbl.fold (fun fd c acc -> if c.unsent > 0 then fd :: acc else acc) conns []
+    in
+    let timeout = if Pipeline.queued pipeline = 0 then 0.2 else 0. in
+    let readable, _, _ =
+      try Unix.select reads writes [] timeout
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    in
+    List.iter
+      (fun fd ->
+        if fd == listener then accept_all ()
+        else Option.iter read (Hashtbl.find_opt conns fd))
+      readable;
+    List.iter deliver (Pipeline.step pipeline);
+    let draining = draining || Pipeline.draining pipeline in
+    let quiet = draining && Pipeline.queued pipeline = 0 in
+    settle ~quiet;
+    if quiet && Hashtbl.fold (fun _ c ok -> ok && c.unsent = 0) conns true
+    then begin
+      Pipeline.close pipeline;
+      Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) conns;
+      (try Unix.close listener with Unix.Unix_error _ -> ());
+      match cfg.address with
+      | Unix_socket path -> if Sys.file_exists path then Unix.unlink path
+      | Tcp _ -> ()
+    end
+    else loop ()
+  in
+  loop ()
 
 let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
   if not (Sys.file_exists cfg.dir) then Unix.mkdir cfg.dir 0o755;
@@ -186,168 +282,6 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
   with
   | Error m -> Error ("recovery: " ^ m)
   | Ok recovery -> (
-      let replica = recovery.Wal.replica in
-      let writer = ref recovery.Wal.writer in
-      let shed =
-        Shed.create
-          ~default_budget_s:(cfg.default_budget_ms /. 1000.)
-          ~max_queue:cfg.max_queue ()
-      in
-      let stats = { decided = 0; admitted = 0; rejected = 0; shed = 0; failed = 0 } in
-      let queue : item Queue.t = Queue.create () in
-      let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-      let scrapes : (Unix.file_descr, scrape) Hashtbl.t = Hashtbl.create 4 in
-      let draining = ref false in
-      let since_snapshot = ref 0 in
-      let cid_counter = ref 0 in
-      let pid = Unix.getpid () in
-      let mint_cid () =
-        incr cid_counter;
-        Printf.sprintf "r%d-%d" pid !cid_counter
-      in
-      (* --- the observability plane ------------------------------------- *)
-      let telemetry = cfg.telemetry in
-      let flight =
-        if telemetry then Some (Flight.create ~capacity:cfg.flight_capacity ())
-        else None
-      in
-      let metrics_out =
-        if telemetry then
-          Option.map
-            (fun path -> Openmetrics.snapshot_sink ~every:cfg.metrics_every path)
-            cfg.metrics_out
-        else None
-      in
-      (* Every event the daemon produces — WAL records and telemetry-only
-         records alike — flows through here: into the flight recorder's
-         ring and past the --metrics-out refresh counter. *)
-      let observe_event e =
-        (match flight with Some f -> Flight.record f e | None -> ());
-        match metrics_out with Some s -> s.Sink.emit e | None -> ()
-      in
-      (* Telemetry-only records (sheds, spans): stamped by the daemon —
-         the flight ring re-sequences, and an installed tracer sink
-         ([--trace]) gets its own independently stamped copy. *)
-      let record_tele ?sim payload =
-        if telemetry then begin
-          observe_event
-            {
-              Events.seq = 0;
-              run = 1;
-              sim;
-              wall_s = Unix.gettimeofday ();
-              payload;
-            };
-          if Tracer.active () then Tracer.emit ?sim payload
-        end
-      in
-      let record_span ?parent ?id ~name ~begin_s ~until () =
-        if telemetry then
-          let id = match id with Some i -> i | None -> Tracer.alloc_span_id () in
-          record_tele
-            (Events.Span
-               {
-                 name;
-                 id;
-                 parent;
-                 depth = (match parent with None -> 0 | Some _ -> 1);
-                 begin_s;
-                 duration_s = until -. begin_s;
-               })
-      in
-      let flight_path = flight_file ~dir:cfg.dir in
-      let flight_dumped = ref false in
-      let dump_flight reason =
-        match flight with
-        | None -> ()
-        | Some f -> (
-            flight_dumped := true;
-            match Flight.dump f flight_path with
-            | Ok n ->
-                Printf.eprintf
-                  "rota serve: flight recorder: %d events -> %s (%s)\n%!" n
-                  flight_path reason
-            | Error m ->
-                Printf.eprintf "rota serve: flight dump failed: %s\n%!" m)
-      in
-      (* Deadline-assurance SLO: every request that reached a verdict is
-         good when the live audit re-verified the decision, bad when the
-         auditor diverged or the daemon shed it without deciding. *)
-      let slo = Slo.create ~budget:cfg.slo_budget () in
-      let divergence_dumped = ref false in
-      let on_outcome (o : Live.outcome) =
-        let now = Unix.gettimeofday () in
-        match o.Live.verdict with
-        | Live.Verified | Live.Skipped _ -> Slo.record slo ~now ~good:true
-        | Live.Diverged complaints ->
-            List.iter
-              (fun message ->
-                Slo.record slo ~now ~good:false;
-                (* The watchdog emits these on the tracer stream; the
-                   flight ring needs its own copy, tracer or not. *)
-                match flight with
-                | Some f ->
-                    Flight.record f
-                      {
-                        Events.seq = 0;
-                        run = o.Live.run;
-                        sim = o.Live.sim;
-                        wall_s = now;
-                        payload =
-                          Events.Audit_divergence
-                            {
-                              id = o.Live.id;
-                              action = o.Live.action;
-                              of_seq = o.Live.seq;
-                              message;
-                            };
-                      }
-                | None -> ())
-              complaints;
-            if not !divergence_dumped then begin
-              divergence_dumped := true;
-              dump_flight "audit divergence"
-            end
-      in
-      let watchdog =
-        if telemetry then Some (Watchdog.create ~on_outcome ()) else None
-      in
-      let tee_wal events =
-        if telemetry then
-          List.iter
-            (fun e ->
-              (match watchdog with Some w -> Watchdog.observe w e | None -> ());
-              observe_event e)
-            events
-      in
-      let shed_total = ref 0 in
-      let storm_dumped = ref false in
-      let note_shed ~id ~slug ~reason =
-        stats.shed <- stats.shed + 1;
-        incr shed_total;
-        Telemetry.count_shed slug;
-        Slo.record slo ~now:(Unix.gettimeofday ()) ~good:false;
-        record_tele ~sim:(Replica.now replica) (Events.Shed { id; slug; reason });
-        if !shed_total >= shed_storm_threshold && not !storm_dumped then begin
-          storm_dumped := true;
-          dump_flight
-            (Printf.sprintf "shed storm (%d requests refused)" !shed_total)
-        end
-      in
-      let refresh_gauges () =
-        if telemetry then begin
-          let now = Unix.gettimeofday () in
-          Metrics.set Telemetry.queue_depth (Queue.length queue);
-          Metrics.set Telemetry.connections (Hashtbl.length conns);
-          Telemetry.set_burn Telemetry.burn_5m (Slo.burn slo ~now ~window_s:300);
-          Telemetry.set_burn Telemetry.burn_1h (Slo.burn slo ~now ~window_s:3600);
-          Runtime_sampler.update ()
-        end
-      in
-      let exposition () =
-        refresh_gauges ();
-        Openmetrics.render (Metrics.snapshot ())
-      in
       install_signals ();
       stop_requested := false;
       quit_requested := false;
@@ -355,473 +289,20 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
       | exception Unix.Unix_error (e, _, _) ->
           Error (Printf.sprintf "bind: %s" (Unix.error_message e))
       | listener -> (
-          match Option.map listen_on cfg.metrics_listen with
-          | exception Unix.Unix_error (e, _, _) ->
-              (try Unix.close listener with Unix.Unix_error _ -> ());
-              Error (Printf.sprintf "bind metrics: %s" (Unix.error_message e))
-          | mlistener ->
+          let pipeline =
+            Pipeline.create ~dir:cfg.dir ~snapshot_every:cfg.snapshot_every
+              ~max_queue:cfg.max_queue ~default_budget_ms:cfg.default_budget_ms
+              ~telemetry:cfg.telemetry ~slo_budget:cfg.slo_budget
+              ~flight_capacity:cfg.flight_capacity recovery
+          in
           on_ready recovery;
-          let close_conn conn =
-            if conn.alive then begin
-              conn.alive <- false;
-              Hashtbl.remove conns conn.fd;
-              try Unix.close conn.fd with Unix.Unix_error _ -> ()
-            end
-          in
-          let close_scrape s =
-            Hashtbl.remove scrapes s.sfd;
-            try Unix.close s.sfd with Unix.Unix_error _ -> ()
-          in
-          let daemon_stat_fields () =
-            [
-              ("queue", Json.Int (Queue.length queue));
-              ("connections", Json.Int (Hashtbl.length conns));
-              ("decided", Json.Int stats.decided);
-              ("admitted", Json.Int stats.admitted);
-              ("rejected", Json.Int stats.rejected);
-              ("shed", Json.Int stats.shed);
-              ("failed", Json.Int stats.failed);
-              ("estimate_ms", Json.Float (Shed.estimate_s shed *. 1000.));
-              ("wal_seq", Json.Int (Wal.seq !writer));
-              ("wal_offset", Json.Int (Wal.offset !writer));
-            ]
-          in
-          let snapshot () =
-            match
-              Wal.save_snapshot
-                ~path:(Wal.snapshot_path ~dir:cfg.dir)
-                !writer replica
-            with
-            | Ok () -> since_snapshot := 0
-            | Error m -> Printf.eprintf "rota serve: snapshot failed: %s\n%!" m
-          in
-          let metrics_reply () =
-            refresh_gauges ();
-            let view = Metrics.snapshot () in
-            let now = Unix.gettimeofday () in
-            let samples =
-              List.mapi
-                (fun i payload ->
-                  Events.to_json
-                    { Events.seq = i + 1; run = 0; sim = None; wall_s = now;
-                      payload })
-                (Tracer.samples_of_view view)
-            in
-            Wire.Metrics_snapshot
-              { exposition = Openmetrics.render view; samples }
-          in
-          (* Accept whatever parses; every line becomes exactly one queue
-             item — verdicts included — so responses leave in request
-             order no matter how they were produced. *)
-          let handle_request conn parse =
-            let recv = Unix.gettimeofday () in
-            let parsed = parse () in
-            let now = Unix.gettimeofday () in
-            let cid = mint_cid () in
-            let span = Tracer.alloc_span_id () in
-            record_span ~parent:span ~name:"server/parse" ~begin_s:recv
-              ~until:now ();
-            match parsed with
-            | Error m ->
-                stats.failed <- stats.failed + 1;
-                Telemetry.count_request "invalid";
-                Queue.add
-                  { conn; tag = Json.Null; cid; span;
-                    work = Ready (Wire.Failed m); recv; enqueued = now;
-                    budget_ms = None }
-                  queue
-            | Ok { Wire.tag; op } -> (
-                Telemetry.count_request (Telemetry.verb_of_op op);
-                match op with
-                | Wire.Admit { computation; budget_ms; _ } -> (
-                    match
-                      Shed.on_enqueue shed ~queue_len:(Queue.length queue)
-                        ~budget_ms
-                    with
-                    | Shed.Accept ->
-                        Queue.add
-                          { conn; tag; cid; span; work = Decide op; recv;
-                            enqueued = now; budget_ms }
-                          queue
-                    | Shed.Reject { slug; message } ->
-                        let id = computation.Computation.id in
-                        note_shed ~id ~slug ~reason:message;
-                        Queue.add
-                          { conn; tag; cid; span;
-                            work = Ready (Wire.Shed { id; reason = message });
-                            recv; enqueued = now; budget_ms }
-                          queue)
-                | _ ->
-                    Queue.add
-                      { conn; tag; cid; span; work = Decide op; recv;
-                        enqueued = now; budget_ms = None }
-                      queue)
-          in
-          (* Only the fresh bytes are scanned: [inbuf] holds just the
-             unterminated tail, never a newline, so splitting is linear
-             in the bytes read.  A line past [max_line_bytes] gets one
-             [Failed] reply, queued behind the connection's earlier
-             requests, and then the connection closes. *)
-          let feed conn bytes n =
-            let rec split start =
-              let stop =
-                match Bytes.index_from_opt bytes start '\n' with
-                | Some i when i < n -> i
-                | _ -> n
-              in
-              Buffer.add_subbytes conn.inbuf bytes start (stop - start);
-              if Buffer.length conn.inbuf > max_line_bytes then begin
-                conn.refused <- true;
-                Buffer.reset conn.inbuf;
-                handle_request conn (fun () ->
-                    Error
-                      (Printf.sprintf "request line exceeds %d bytes"
-                         max_line_bytes))
-              end
-              else if stop < n then begin
-                let line = String.trim (Buffer.contents conn.inbuf) in
-                Buffer.clear conn.inbuf;
-                if line <> "" then
-                  handle_request conn (fun () -> Wire.request_of_line line);
-                split (stop + 1)
-              end
-            in
-            split 0
-          in
-          let decide item =
-            match item.work with
-            | Ready reply -> (None, reply)
-            | Decide op -> (
-                let picked = Unix.gettimeofday () in
-                let waited = picked -. item.enqueued in
-                Metrics.observe Telemetry.queue_wait waited;
-                record_span ~parent:item.span ~name:"server/queue-wait"
-                  ~begin_s:item.enqueued ~until:picked ();
-                let sheddable =
-                  match op with Wire.Admit _ -> true | _ -> false
-                in
-                match
-                  if sheddable then
-                    Shed.on_dequeue shed ~waited_s:waited
-                      ~budget_ms:item.budget_ms
-                  else Shed.Accept
-                with
-                | Shed.Reject { slug; message } ->
-                    let id =
-                      match op with
-                      | Wire.Admit { computation; _ } ->
-                          computation.Computation.id
-                      | _ -> ""
-                    in
-                    note_shed ~id ~slug ~reason:message;
-                    (None, Wire.Shed { id; reason = message })
-                | Shed.Accept when op = Wire.Metrics ->
-                    (* Answered from the serving loop: a scrape must not
-                       touch the replica or the WAL. *)
-                    (None, metrics_reply ())
-                | Shed.Accept ->
-                    let t0 = Unix.gettimeofday () in
-                    if cfg.decide_delay_ms > 0. then
-                      Unix.sleepf (cfg.decide_delay_ms /. 1000.);
-                    let payloads, reply =
-                      Replica.apply ~cid:item.cid replica op
-                    in
-                    let t1 = Unix.gettimeofday () in
-                    Shed.observe shed (t1 -. t0);
-                    record_span ~parent:item.span ~name:"server/decide"
-                      ~begin_s:t0 ~until:t1 ();
-                    stats.decided <- stats.decided + 1;
-                    (match reply with
-                    | Wire.Decided { action = "admit"; _ } ->
-                        stats.admitted <- stats.admitted + 1
-                    | Wire.Decided _ -> stats.rejected <- stats.rejected + 1
-                    | _ -> ());
-                    (* Deadline slack: how much simulated headroom the
-                       admitted schedule leaves before the deadline. *)
-                    (match (op, reply) with
-                    | ( Wire.Admit { computation; _ },
-                        Wire.Decided { action = "admit"; _ } ) ->
-                        List.iter
-                          (function
-                            | Events.Decision { certificate; _ } ->
-                                Telemetry.observe_admit_slack
-                                  ~deadline:computation.Computation.deadline
-                                  certificate
-                            | _ -> ())
-                          payloads
-                    | _ -> ());
-                    let reply =
-                      match (op, reply) with
-                      | Wire.Query "stats", Wire.Info fields ->
-                          Wire.Info (fields @ daemon_stat_fields ())
-                      | _ -> reply
-                    in
-                    (match op with
-                    | Wire.Shutdown -> draining := true
-                    | _ -> ());
-                    (Some payloads, reply))
-          in
-          (* Group commit: decide a batch, append everything, fsync once,
-             only then let any of the batch's responses out. *)
-          let process_queue () =
-            let produced = ref [] in
-            let logged = ref false in
-            let rec go n =
-              if n > 0 && not (Queue.is_empty queue) then begin
-                let item = Queue.pop queue in
-                let payloads, reply = decide item in
-                (match payloads with
-                | Some (_ :: _ as ps) ->
-                    let b0 = Wal.buffered !writer in
-                    let t0 = Unix.gettimeofday () in
-                    let events =
-                      Wal.append !writer ~sim:(Replica.now replica) ps
-                    in
-                    let t1 = Unix.gettimeofday () in
-                    Metrics.add Telemetry.wal_bytes (Wal.buffered !writer - b0);
-                    record_span ~parent:item.span ~name:"server/encode"
-                      ~begin_s:t0 ~until:t1 ();
-                    tee_wal events;
-                    logged := true;
-                    since_snapshot := !since_snapshot + 1
-                | _ -> ());
-                produced := (item, reply) :: !produced;
-                go (n - 1)
-              end
-            in
-            go batch_size;
-            if !logged then begin
-              let t0 = Unix.gettimeofday () in
-              Wal.sync !writer;
-              let t1 = Unix.gettimeofday () in
-              Metrics.observe Telemetry.fsync (t1 -. t0);
-              (* One flush covers the whole batch, so the span stands
-                 alone rather than under any single request. *)
-              record_span ~name:"server/wal-fsync" ~begin_s:t0 ~until:t1 ()
-            end;
-            List.iter
-              (fun (item, reply) ->
-                let now = Unix.gettimeofday () in
-                Metrics.observe Telemetry.rtt (now -. item.recv);
-                record_span ~id:item.span ~name:"server/request"
-                  ~begin_s:item.recv ~until:now ();
-                let tag =
-                  (* Untagged clients still get a correlation handle: the
-                     cid doubles as the echoed tag. *)
-                  match item.tag with
-                  | Json.Null -> Json.String item.cid
-                  | t -> t
-                in
-                push_response item.conn
-                  { Wire.tag; cid = Some item.cid; reply })
-              (List.rev !produced)
-          in
-          let serve_scrape s =
-            if has_blank_line (Buffer.contents s.sbuf) && not s.sreplied then begin
-              s.sreplied <- true;
-              s.sout <- http_response (exposition ())
-            end
-          in
-          let write_scrape s =
-            match
-              let len = String.length s.sout - s.soff in
-              if len = 0 then 0
-              else Unix.write_substring s.sfd s.sout s.soff len
-            with
-            | n ->
-                s.soff <- s.soff + n;
-                if s.sreplied && s.soff >= String.length s.sout then
-                  close_scrape s
-            | exception
-                Unix.Unix_error
-                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-                ()
-            | exception Unix.Unix_error _ -> close_scrape s
-          in
-          let accept_scrapes fd =
-            let rec go () =
-              match Unix.accept fd with
-              | sfd, _ ->
-                  Unix.set_nonblock sfd;
-                  Hashtbl.replace scrapes sfd
-                    {
-                      sfd;
-                      sbuf = Buffer.create 128;
-                      sout = "";
-                      soff = 0;
-                      sreplied = false;
-                    };
-                  go ()
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  ()
-              | exception Unix.Unix_error _ -> ()
-            in
-            go ()
-          in
-          let rec loop () =
-            if !stop_requested then draining := true;
-            if !quit_requested then begin
-              quit_requested := false;
-              dump_flight "sigquit";
-              draining := true
-            end;
-            refresh_gauges ();
-            let accepting =
-              (not !draining)
-              && Hashtbl.length conns < cfg.max_connections
-              && Queue.length queue < cfg.max_queue
-            in
-            let reading =
-              (not !draining) && Queue.length queue < cfg.max_queue
-            in
-            let reads =
-              (if accepting then [ listener ] else [])
-              @ (match mlistener with
-                | Some m when not !draining -> [ m ]
-                | _ -> [])
-              @ Hashtbl.fold
-                  (fun fd s acc -> if s.sreplied then acc else fd :: acc)
-                  scrapes []
-              @
-              if reading then
-                Hashtbl.fold
-                  (fun fd c acc -> if c.refused then acc else fd :: acc)
-                  conns []
-              else []
-            in
-            let writes =
-              Hashtbl.fold
-                (fun fd c acc ->
-                  if Queue.is_empty c.outq then acc else fd :: acc)
-                conns []
-              @ Hashtbl.fold
-                  (fun fd s acc ->
-                    if s.soff < String.length s.sout then fd :: acc else acc)
-                  scrapes []
-            in
-            let timeout = if Queue.is_empty queue then 0.2 else 0. in
-            let readable, writable, _ =
-              try Unix.select reads writes [] timeout
-              with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-            in
-            List.iter
-              (fun fd ->
-                if fd == listener then begin
-                  let rec accept_all () =
-                    match Unix.accept listener with
-                    | cfd, _ ->
-                        Unix.set_nonblock cfd;
-                        Hashtbl.replace conns cfd
-                          {
-                            fd = cfd;
-                            inbuf = Buffer.create 256;
-                            outq = Queue.create ();
-                            out_off = 0;
-                            alive = true;
-                            refused = false;
-                          };
-                        accept_all ()
-                    | exception
-                        Unix.Unix_error
-                          ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                        ()
-                    | exception Unix.Unix_error _ -> ()
-                  in
-                  accept_all ()
-                end
-                else if (match mlistener with Some m -> fd == m | None -> false)
-                then accept_scrapes fd
-                else
-                  match Hashtbl.find_opt scrapes fd with
-                  | Some s -> (
-                      let bytes = Bytes.create 1024 in
-                      match Unix.read fd bytes 0 1024 with
-                      | 0 -> close_scrape s
-                      | n ->
-                          Buffer.add_subbytes s.sbuf bytes 0 n;
-                          serve_scrape s;
-                          if s.sreplied then write_scrape s
-                      | exception
-                          Unix.Unix_error
-                            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-                        ->
-                          ()
-                      | exception Unix.Unix_error _ -> close_scrape s)
-                  | None -> (
-                      match Hashtbl.find_opt conns fd with
-                      | None -> ()
-                      | Some conn -> (
-                          let bytes = Bytes.create 8192 in
-                          match Unix.read fd bytes 0 8192 with
-                          | 0 -> close_conn conn
-                          | n -> feed conn bytes n
-                          | exception
-                              Unix.Unix_error
-                                ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR),
-                                  _, _ ) ->
-                              ()
-                          | exception Unix.Unix_error _ -> close_conn conn)))
-              readable;
-            process_queue ();
-            List.iter
-              (fun fd ->
-                match Hashtbl.find_opt conns fd with
-                | None -> (
-                    match Hashtbl.find_opt scrapes fd with
-                    | Some s -> write_scrape s
-                    | None -> ())
-                | Some conn -> if not (write_some conn) then close_conn conn)
-              writable;
-            (* Whatever process_queue just produced should not wait for
-               the next select round on an idle socket.  A refused
-               connection closes once everything it was owed is out. *)
-            Hashtbl.iter
-              (fun _ conn ->
-                if (not (Queue.is_empty conn.outq)) && not (write_some conn)
-                then close_conn conn
-                else if
-                  conn.refused && Queue.is_empty conn.outq
-                  && not
-                       (Seq.exists
-                          (fun it -> it.conn == conn)
-                          (Queue.to_seq queue))
-                then close_conn conn)
-              (Hashtbl.copy conns);
-            if !since_snapshot >= cfg.snapshot_every then snapshot ();
-            let drained =
-              !draining && Queue.is_empty queue
-              && Hashtbl.fold
-                   (fun _ c acc -> acc && Queue.is_empty c.outq)
-                   conns true
-            in
-            if drained then begin
-              Wal.sync !writer;
-              snapshot ();
-              Wal.close !writer;
-              (match metrics_out with Some s -> s.Sink.close () | None -> ());
-              Hashtbl.iter (fun _ c -> close_conn c) (Hashtbl.copy conns);
-              Hashtbl.iter (fun _ s -> close_scrape s) (Hashtbl.copy scrapes);
-              (try Unix.close listener with Unix.Unix_error _ -> ());
-              (match mlistener with
-              | Some m -> ( try Unix.close m with Unix.Unix_error _ -> ())
-              | None -> ());
-              (match cfg.address with
-              | Unix_socket path ->
-                  if Sys.file_exists path then Unix.unlink path
-              | Tcp _ -> ());
-              (match cfg.metrics_listen with
-              | Some (Unix_socket path) ->
-                  if Sys.file_exists path then Unix.unlink path
-              | Some (Tcp _) | None -> ());
-              Ok ()
-            end
-            else loop ()
-          in
+          (* The first update only sets the baseline that each [metrics]
+             scrape folds the allocation since serving began against. *)
+          if cfg.telemetry then Runtime_sampler.update ();
           (* A daemon dying of an uncaught exception still leaves its
              last seconds on disk for the post-mortem. *)
-          try loop ()
+          try Ok (serve cfg pipeline listener)
           with exn ->
-            if not !flight_dumped then
-              dump_flight ("fatal: " ^ Printexc.to_string exn);
+            if not (Pipeline.flight_dumped pipeline) then
+              Pipeline.dump_flight pipeline ("fatal: " ^ Printexc.to_string exn);
             raise exn))

@@ -1,24 +1,27 @@
 open Import
 
 (** The [rota serve] daemon: a single-threaded [select] loop serving the
-    {!Wire} protocol over a Unix or TCP socket, with {!Wal} durability
-    and {!Shed} overload protection.
+    {!Wire} protocol over a Unix or TCP socket.
 
-    Request lifecycle: bytes → {!Wire.request_of_line} → the bounded
-    FIFO (or an immediate shed verdict, which still travels {e through}
-    the FIFO so responses stay in per-connection request order) → decide
-    through {!Replica.apply} → append to the WAL → one [fsync] per batch
-    (group commit) → respond.  No response precedes its fsync, so every
+    The loop holds only sockets: it accepts, reads and splits request
+    lines (each at most {!max_line_bytes}), hands them to a {!Pipeline},
+    writes the replies the pipeline returns, handles signals and runs
+    the drain.  Everything between a line and its reply — parsing,
+    {!Shed} overload protection, deciding through {!Replica.apply},
+    {!Wal} group commit, and the observability plane — is the
+    pipeline's.  No reply precedes its record's fsync, so every
     acknowledged transition survives a crash.
 
-    Backpressure: when the queue is full the loop simply stops
-    [select]ing client descriptors readable (and the listener
+    Backpressure: when the queue holds [max_queue] requests the loop
+    stops [select]ing client descriptors readable (and the listener
     acceptable), so overload is pushed back into kernel buffers and
-    client connect queues instead of process memory.
+    client connect queues instead of process memory.  A connection with
+    more than {!max_unsent_bytes} of replies it has not read is not read
+    either, until they drain.
 
     Observability (unless [telemetry = false]): every request carries a
-    correlation id (minted [r<pid>-<n>], echoed in the reply [cid] field
-    — and as the [tag] for untagged requests — and stamped into the WAL
+    correlation id ([r<pid>-<n>], echoed in the reply [cid] field — and
+    as the [tag] for untagged requests — and stamped into the WAL
     decision record) and a [server/request] span with
     parse/queue-wait/decide/encode children; the {!Telemetry} families
     fill in as traffic flows; a {!Rota_audit.Watchdog} re-verifies every
@@ -26,26 +29,37 @@ open Import
     behind the [slo/burn_*] gauges; and a {!Rota_obs.Flight} ring keeps
     the last [flight_capacity] events in memory, dumped to
     [<dir>/flight-<pid>.rotb] on SIGQUIT, the first audit divergence, a
-    shed storm, or a fatal exception.
-
-    Scraping: [metrics_listen] adds a second listener inside the same
-    [select] loop that answers any HTTP request with an OpenMetrics
-    exposition ([rota metrics scrape], curl, or a Prometheus scraper);
-    the wire verb {!Wire.Metrics} answers the same snapshot in-band;
-    [metrics_out] atomically rewrites an exposition file every
-    [metrics_every] observed events.
+    shed storm, or a fatal exception.  The wire verb {!Wire.Metrics} is
+    the one scrape path: it answers the OpenMetrics exposition and the
+    same registry as sample events ([rota metrics scrape], [rota top
+    --connect]).
 
     Shutdown: SIGTERM/SIGINT (or a {!Wire.Shutdown} request) drains —
     stop accepting and reading, decide everything queued, flush
-    responses, fsync, snapshot, exit cleanly.  SIGQUIT dumps the flight
-    recorder first, then drains. *)
+    responses, fsync, snapshot, exit cleanly.  A connection that takes
+    no reply bytes for {!drain_grace_s} once nothing is left to decide
+    is closed, so a client that never reads cannot hold the drain up.
+    SIGQUIT dumps the flight recorder first, then drains. *)
 
 type address = Unix_socket of string | Tcp of string * int
+
+val connect : address -> Unix.file_descr
+(** A blocking client connection to a daemon's address ([rota load],
+    [rota metrics scrape], [rota top --connect]). *)
 
 val max_line_bytes : int
 (** Longest request line a connection may send: 1 MiB.  A longer one,
     terminated or not, gets one [Failed] reply after the replies the
     connection is already owed, and then the connection closes. *)
+
+val max_unsent_bytes : int
+(** Unsent reply bytes past which a connection is not read: 1 MiB.  A
+    client that pipelines without reading its replies is pushed back
+    into its own socket buffer instead of growing the daemon. *)
+
+val drain_grace_s : float
+(** How long a draining daemon, with nothing left to decide, waits for
+    a connection to take any reply bytes before closing it: 1 s. *)
 
 type config = {
   dir : string;  (** WAL + snapshot directory (created if missing). *)
@@ -55,23 +69,11 @@ type config = {
   max_queue : int;
   default_budget_ms : float;
   snapshot_every : int;  (** Decided requests between snapshots. *)
-  decide_delay_ms : float;
-      (** Test hook: artificial latency added to every decision, so
-          overload (and therefore shedding) can be provoked
-          deterministically.  [0.] in production. *)
   max_connections : int;
   telemetry : bool;
       (** [false] switches the whole observability plane off: no metric
           recording, no spans, no watchdog, no flight recorder.  The
           bench's overhead pair flips exactly this. *)
-  metrics_listen : address option;
-      (** Scrape endpoint: a second listener answering HTTP with the
-          OpenMetrics exposition. *)
-  metrics_out : string option;
-      (** Atomically rewritten exposition file, for file-based
-          collectors. *)
-  metrics_every : int;
-      (** Observed events between [metrics_out] rewrites. *)
   slo_budget : float;
       (** Fraction of requests allowed to miss (shed, or decided then
           contradicted by the live audit) before the burn rate exceeds
@@ -83,12 +85,8 @@ val config :
   ?max_queue:int ->
   ?default_budget_ms:float ->
   ?snapshot_every:int ->
-  ?decide_delay_ms:float ->
   ?max_connections:int ->
   ?telemetry:bool ->
-  ?metrics_listen:address ->
-  ?metrics_out:string ->
-  ?metrics_every:int ->
   ?slo_budget:float ->
   ?flight_capacity:int ->
   ?cost_model:Cost_model.t ->
@@ -96,9 +94,9 @@ val config :
   address:address ->
   Admission.policy ->
   config
-(** Defaults: telemetry on, no scrape listener, no exposition file,
-    [metrics_every = 256], [slo_budget = 0.01] (99% of requests),
-    [flight_capacity = 4096]. *)
+(** Defaults: [max_queue = 512], [default_budget_ms = 250.],
+    [snapshot_every = 512], [max_connections = 64], telemetry on,
+    [slo_budget = 0.01] (99% of requests), [flight_capacity = 4096]. *)
 
 val run : ?on_ready:(Wal.recovery -> unit) -> config -> (unit, string) result
 (** Recover (or create) the WAL, bind, serve until drained.  [on_ready]

@@ -28,6 +28,7 @@ let observe t decide_s =
 let estimate_s t = t.estimate
 let max_queue t = t.max_queue
 
+(* The effective budget for one request, seconds. *)
 let budget_s t ~budget_ms =
   match budget_ms with
   | Some ms when ms > 0. -> ms /. 1000.

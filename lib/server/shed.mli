@@ -41,9 +41,6 @@ val estimate_s : t -> float
 
 val max_queue : t -> int
 
-val budget_s : t -> budget_ms:float option -> float
-(** The effective budget for one request, seconds. *)
-
 type verdict = Accept | Reject of { slug : string; message : string }
 (** [Reject] carries both tellings of the refusal: [message] is the
     human-readable reason the wire response reports, [slug] the stable

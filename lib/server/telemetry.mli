@@ -2,7 +2,7 @@ open Import
 
 (** The serve daemon's metric families, registered once and shared.
 
-    Everything the daemon's scrape endpoint exports lives here: the
+    Everything the daemon's [metrics] scrape exports lives here: the
     request/latency histograms, the per-verb and per-shed-slug counters,
     the queue/connection gauges, and the SLO burn-rate gauges the
     {!Rota_obs.Slo} windows feed.  Registration is done at module
@@ -37,7 +37,8 @@ val admit_slack : Metrics.histogram
 (** {2 Gauges} *)
 
 val queue_depth : Metrics.gauge
-(** [server/queue_depth] — requests in the FIFO, sampled per loop tick. *)
+(** [server/queue_depth] — requests in the FIFO, read when a scrape is
+    answered. *)
 
 val connections : Metrics.gauge
 (** [server/connections] — live client connections. *)
@@ -56,9 +57,6 @@ val set_burn : Metrics.gauge -> float -> unit
 
 val wal_bytes : Metrics.counter
 (** [server/wal_bytes] — bytes appended to the WAL. *)
-
-val shed_counter : string -> Metrics.counter
-(** [server/shed.<slug>] — interned per {!Shed} reject slug. *)
 
 val verb_of_op : Wire.op -> string
 (** The counter slug for an operation (["admit"], ["release"], ...);

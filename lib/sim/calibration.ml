@@ -43,6 +43,8 @@ let believed_demand model trace ~admitted =
       else (cpu, net))
     from_computations (Trace.sessions trace)
 
+(* [(cpu, network)] totals actually consumed in a run, from the report's
+   per-type stats (custom and memory kinds count as CPU-side work). *)
 let actual_consumption (report : Engine.report) =
   List.fold_left
     (fun (cpu, net) (s : Engine.type_stat) ->
@@ -104,6 +106,3 @@ let calibrate ?(iterations = 3) ~policy ~believed ~true_model trace =
       loop revised (i - 1) ((believed, report) :: acc)
   in
   loop believed iterations []
-
-let pp_ratios ppf r =
-  Format.fprintf ppf "{cpu=%.2f; network=%.2f}" r.cpu r.network

@@ -19,10 +19,6 @@ type ratios = {
   network : float;  (** actual / believed for network-priced work. *)
 }
 
-val actual_consumption : Engine.report -> int * int
-(** [(cpu, network)] totals actually consumed in a run, from the report's
-    per-type stats (custom and memory kinds count as CPU-side work). *)
-
 val ratios_of_run : believed:Cost_model.t -> Trace.t -> Engine.report -> ratios
 (** Actual-over-believed per kind, from one run.  A kind with no believed
     demand keeps ratio [1.0].  Note the estimate is conservative when
@@ -43,5 +39,3 @@ val calibrate :
 (** The closed loop: run, measure, rescale, repeat ([iterations] times,
     default 3).  Returns the believed model used and the report of each
     iteration, first iteration first. *)
-
-val pp_ratios : Format.formatter -> ratios -> unit

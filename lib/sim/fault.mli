@@ -45,6 +45,4 @@ val kind_name : kind -> string
 val sort : plan -> plan
 (** By delivery time, stable (same-tick faults keep plan order). *)
 
-val pp_kind : Format.formatter -> kind -> unit
-
 val pp : Format.formatter -> t -> unit

@@ -3,7 +3,10 @@
    replica snapshots, and the central durability property — truncating
    the WAL at ANY byte offset and recovering yields exactly the state
    the surviving prefix proves (residual digest and ledger contents),
-   which is what makes an acknowledged decision crash-proof. *)
+   which is what makes an acknowledged decision crash-proof.  The
+   request pipeline is driven in process on integer connections (one
+   reply per line in order, group commit, crash, overload, drain); a
+   few forked daemons cover what only the socket loop does. *)
 
 module Interval = Rota_interval.Interval
 module Resource_set = Rota_resource.Resource_set
@@ -34,13 +37,13 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let params ~seed =
+let params ?(arrivals = 14) ~seed () =
   {
     Scenario.default_params with
     seed;
     locations = 2;
     horizon = 120;
-    arrivals = 14;
+    arrivals;
     churn_joins = 4;
   }
 
@@ -48,8 +51,8 @@ let params ~seed =
    admits from the scenario trace, then a mid-horizon revocation of the
    first joined slice (evictions, fault terms) and a couple of
    releases. *)
-let ops_of ~seed =
-  let p = params ~seed in
+let ops_of ?arrivals ~seed () =
+  let p = params ?arrivals ~seed () in
   let trace = Scenario.trace p in
   let base =
     List.filter_map
@@ -161,7 +164,7 @@ let prop_truncation_recovers =
       Fun.protect ~finally:(fun () -> rm_rf build; rm_rf crash)
       @@ fun () ->
       let policy = Admission.Rota in
-      let _live = build_wal ~dir:build ~policy (ops_of ~seed) in
+      let _live = build_wal ~dir:build ~policy (ops_of ~seed ()) in
       let full =
         In_channel.with_open_bin (Wal.wal_path ~dir:build)
           In_channel.input_all
@@ -199,7 +202,7 @@ let test_snapshot_recovery () =
   let dir = temp_dir "rota-wal-snap" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let policy = Admission.Rota in
-  let ops = ops_of ~seed:42 in
+  let ops = ops_of ~seed:42 () in
   let live =
     build_wal ~snapshot_after:(List.length ops / 2) ~dir ~policy ops
   in
@@ -275,7 +278,7 @@ let op_time = function
 
 (* [ops_of] plus the extras, in time order. *)
 let expiry_ops ~seed extras =
-  let base = ops_of ~seed in
+  let base = ops_of ~seed () in
   let arrivals =
     Array.of_list
       (List.filter_map
@@ -412,7 +415,7 @@ let prop_served_equals_audited =
    then depends on timing, so the snapshot is taken after an arbitrary
    op [k], behind a sync as the daemon takes it. *)
 let unlogged_release_ops ~seed ghosts =
-  let base = ops_of ~seed in
+  let base = ops_of ~seed () in
   let at_deadline =
     List.filter_map
       (function
@@ -529,7 +532,7 @@ let roundtrip_request r =
   | Error m -> Alcotest.failf "request did not parse back: %s" m
 
 let test_wire_roundtrip () =
-  let computations = Scenario.computations (params ~seed:9) in
+  let computations = Scenario.computations (params ~seed:9 ()) in
   Alcotest.(check bool) "some computations generated" true (computations <> []);
   List.iter
     (fun c ->
@@ -540,7 +543,7 @@ let test_wire_roundtrip () =
             true (c' = c)
       | Error m -> Alcotest.failf "computation codec: %s" m)
     computations;
-  let slice = Scenario.capacity_of (params ~seed:9) in
+  let slice = Scenario.capacity_of (params ~seed:9 ()) in
   let requests =
     [
       { Wire.tag = Json.Null;
@@ -661,7 +664,7 @@ let test_wire_cid_echo () =
 
 let test_cid_stamped_in_decision () =
   let replica = Replica.create Admission.Rota in
-  let computation = List.hd (Scenario.computations (params ~seed:9)) in
+  let computation = List.hd (Scenario.computations (params ~seed:9 ())) in
   let payloads, _reply =
     Replica.apply ~cid:"r9-1" replica
       (Wire.Admit { now = 0; computation; budget_ms = None })
@@ -761,7 +764,7 @@ let test_admit_slack_bound () =
 let test_replica_snapshot_roundtrip () =
   let dir = temp_dir "rota-replica-snap" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let live = build_wal ~dir ~policy:Admission.Rota (ops_of ~seed:4) in
+  let live = build_wal ~dir ~policy:Admission.Rota (ops_of ~seed:4 ()) in
   match Replica.restore (Replica.snapshot live) with
   | Error m -> Alcotest.failf "restore: %s" m
   | Ok back ->
@@ -775,7 +778,7 @@ let test_replica_snapshot_roundtrip () =
 let test_snapshot_tamper_refused () =
   let dir = temp_dir "rota-replica-tamper" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let live = build_wal ~dir ~policy:Admission.Rota (ops_of ~seed:4) in
+  let live = build_wal ~dir ~policy:Admission.Rota (ops_of ~seed:4 ()) in
   let json = Replica.snapshot live in
   let rec tamper json =
     match json with
@@ -838,9 +841,25 @@ let read_replies ?(lines = max_int) fd =
          | Ok r -> r.Wire.reply
          | Error m -> Alcotest.failf "bad reply %S: %s" l m)
 
+(* Wait for [pid] until [within] seconds have passed; [None] if it is
+   still running then. *)
+let wait_exit ~within pid =
+  let deadline = Unix.gettimeofday () +. within in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        go ()
+    | 0, _ -> None
+    | _, status -> Some status
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
 (* Fork a daemon on a fresh state directory, hand its socket path to
-   [k], then require a SIGTERM drain to exit 0. *)
-let with_daemon k =
+   [k], then require a SIGTERM drain to exit 0 within [drain_within]
+   seconds. *)
+let with_daemon ?(drain_within = 10.) k =
   let dir = temp_dir "rota-daemon" in
   let sock = Filename.concat dir "sock" in
   let cfg =
@@ -864,9 +883,10 @@ let with_daemon k =
       Fun.protect ~finally @@ fun () ->
       k sock;
       Unix.kill pid Sys.sigterm;
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "daemon did not drain cleanly"
+      match wait_exit ~within:drain_within pid with
+      | Some (Unix.WEXITED 0) -> ()
+      | Some _ -> Alcotest.fail "daemon did not drain cleanly"
+      | None -> Alcotest.failf "daemon still running %.0fs after SIGTERM" drain_within
 
 let request_line op = Wire.request_to_line { Wire.tag = Json.Null; op } ^ "\n"
 let ping = request_line Wire.Ping
@@ -889,6 +909,42 @@ let test_overlong_line_refused () =
   write_all b (ping ^ ping ^ ping) 0;
   (match read_replies ~lines:3 b with
   | [ Wire.Pong; Wire.Pong; Wire.Pong ] -> ()
+  | rs -> Alcotest.failf "second connection: got %d replies" (List.length rs));
+  Unix.close b
+
+(* A client that pipelines pings and never reads a reply is pushed back:
+   once its unsent replies pass [max_unsent_bytes] the daemon stops
+   reading it, so its own non-blocking writes stall for good within a
+   bounded number of bytes.  A second connection is still answered, and
+   a SIGTERM drain closes the silent client after the grace period and
+   exits 0. *)
+let test_unread_replies_bounded () =
+  let silent = ref None in
+  Fun.protect ~finally:(fun () -> Option.iter Unix.close !silent) @@ fun () ->
+  with_daemon ~drain_within:(Daemon.drain_grace_s +. 3.) @@ fun sock ->
+  let a = connect sock in
+  silent := Some a;
+  Unix.set_nonblock a;
+  let burst = String.concat "" (List.init 4096 (fun _ -> ping)) in
+  let bound = 4 * Daemon.max_unsent_bytes in
+  (* Write until the socket stays unwritable for a whole second. *)
+  let rec push sent =
+    if sent > bound then
+      Alcotest.failf "the daemon kept reading a client that never reads: %d bytes"
+        sent;
+    let off = sent mod String.length burst in
+    match Unix.write_substring a burst off (String.length burst - off) with
+    | n -> push (sent + n)
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
+        match Unix.select [] [ a ] [] 1.0 with
+        | _, [], _ -> ()
+        | _ -> push sent)
+  in
+  push 0;
+  let b = connect sock in
+  write_all b ping 0;
+  (match read_replies ~lines:1 b with
+  | [ Wire.Pong ] -> ()
   | rs -> Alcotest.failf "second connection: got %d replies" (List.length rs));
   Unix.close b
 
@@ -915,7 +971,7 @@ let poison_admit ~now =
    the request's [now] would have moved the clock first. *)
 let test_apply_total () =
   let replica = Replica.create Admission.Rota in
-  let ops = ops_of ~seed:4 in
+  let ops = ops_of ~seed:4 () in
   List.iteri
     (fun i op ->
       if i < List.length ops / 2 then ignore (Replica.apply replica op))
@@ -955,6 +1011,355 @@ let test_poison_line_survived () =
   Unix.close a;
   Unix.close b
 
+
+(* --- the request pipeline, in process ----------------------------------------- *)
+
+module Pipeline = Rota_server.Pipeline
+module Events = Rota_obs.Events
+
+let open_pipeline ?(max_queue = 512) ?(snapshot_every = 512) ?(telemetry = false)
+    dir =
+  match Wal.recover ~dir ~policy:Admission.Rota () with
+  | Error m -> Alcotest.failf "recover: %s" m
+  | Ok r ->
+      Pipeline.create ~dir ~snapshot_every ~max_queue ~default_budget_ms:250.
+        ~telemetry ~slo_budget:0.01 ~flight_capacity:256 r
+
+(* Step until nothing is queued; the replies in the order returned. *)
+let step_all p =
+  let rec go acc =
+    if Pipeline.queued p = 0 then List.concat (List.rev acc)
+    else go (Pipeline.step p :: acc)
+  in
+  go []
+
+let response line =
+  match Wire.response_of_line (String.trim line) with
+  | Ok r -> r
+  | Error m -> Alcotest.failf "bad reply %S: %s" line m
+
+(* (id, action, cid) of every decision record in the WAL on disk. *)
+let wal_decisions dir =
+  let ic = open_in_bin (Wal.wal_path ~dir) in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  (match Binary.read_header ic with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "wal header: %s" m);
+  let rec go acc =
+    match Binary.read_item ic with
+    | Binary.Event { Events.payload = Events.Decision { id; action; cid; _ }; _ } ->
+        go ((id, action, cid) :: acc)
+    | Binary.Event _ -> go acc
+    | Binary.Eof | Binary.Cut _ -> List.rev acc
+    | Binary.Malformed m -> Alcotest.failf "wal: %s" m
+  in
+  go []
+
+let tagged k op = Wire.request_to_line { Wire.tag = Json.Int k; op }
+
+let info_field name = function
+  | Wire.Info fields -> List.assoc_opt name fields
+  | _ -> None
+
+let digest_of r =
+  match info_field "digest" r.Wire.reply with
+  | Some (Json.String d) -> d
+  | _ -> Alcotest.fail "expected a residual-digest answer"
+
+(* An admit that the enqueue check sheds: its 0.5 ms budget is below
+   the cold 1 ms decide estimate. *)
+let hasty_admit ~id ~now =
+  let c = List.hd (Scenario.computations (params ~seed:9 ())) in
+  Wire.Admit
+    {
+      now;
+      budget_ms = Some 0.5;
+      computation =
+        Computation.make ~id ~start:now
+          ~deadline:(now + c.Computation.deadline - c.Computation.start)
+          c.Computation.programs;
+    }
+
+let cid_number cid =
+  match String.rindex_opt cid '-' with
+  | Some i -> int_of_string (String.sub cid (i + 1) (String.length cid - i - 1))
+  | None -> Alcotest.failf "malformed cid %S" cid
+
+type line = Op of Wire.op | Raw of string | Refused
+
+(* Three connections interleave admits, releases, a revocation, a
+   malformed line, an over-long-line refusal, the poison admit, ping,
+   stats, metrics and sheds.  Every line gets exactly one reply, each
+   connection gets its replies in submission order, and the cids the
+   replies carry increase. *)
+let test_pipeline_one_reply_in_order () =
+  let dir = temp_dir "rota-pipe-order" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let p = open_pipeline dir in
+  Pipeline.set_connections p 3;
+  let ops = ops_of ~seed:7 () in
+  let start = op_time (List.hd ops) in
+  let extras =
+    [
+      (2, Raw "{not json");
+      (1, Op (poison_admit ~now:start));
+      (3, Op Wire.Ping);
+      (2, Refused);
+      (3, Op (Wire.Query "stats"));
+      (1, Op (hasty_admit ~id:"hasty-1" ~now:start));
+      (3, Op Wire.Metrics);
+      (2, Op (hasty_admit ~id:"hasty-2" ~now:start));
+      (3, Op (hasty_admit ~id:"hasty-3" ~now:start));
+    ]
+  in
+  let script =
+    List.concat
+      (List.mapi
+         (fun i op ->
+           ((i mod 3) + 1, Op op)
+           :: (match List.nth_opt extras i with Some e -> [ e ] | None -> []))
+         ops)
+  in
+  List.iteri
+    (fun k (conn, line) ->
+      match line with
+      | Op op -> Pipeline.submit p conn (tagged k op)
+      | Raw l -> Pipeline.submit p conn l
+      | Refused -> Pipeline.refuse p conn "request line exceeds 1048576 bytes")
+    script;
+  let replies = List.map (fun (c, l) -> (c, response l)) (step_all p) in
+  Alcotest.(check int) "one reply per line" (List.length script) (List.length replies);
+  let cids =
+    List.map
+      (fun (_, r) ->
+        match r.Wire.cid with
+        | Some c -> cid_number c
+        | None -> Alcotest.fail "reply without a cid")
+      replies
+  in
+  ignore
+    (List.fold_left
+       (fun prev c ->
+         if c <= prev then Alcotest.failf "cid %d after %d" c prev;
+         c)
+       min_int cids);
+  let indexed = List.mapi (fun k (conn, line) -> (conn, k, line)) script in
+  List.iter
+    (fun conn ->
+      let sent = List.filter (fun (c, _, _) -> c = conn) indexed in
+      let got = List.filter_map (fun (c, r) -> if c = conn then Some r else None) replies in
+      Alcotest.(check int)
+        (Printf.sprintf "connection %d: replies" conn)
+        (List.length sent) (List.length got);
+      List.iter2
+        (fun (_, k, line) (r : Wire.response) ->
+          let where = Printf.sprintf "connection %d, line %d" conn k in
+          match (line, r.Wire.reply) with
+          | Op _, _ when r.Wire.tag <> Json.Int k ->
+              Alcotest.failf "%s: answered out of order (tag %s)" where
+                (Json.to_string r.Wire.tag)
+          | (Raw _ | Refused), Wire.Failed _ ->
+              Alcotest.(check bool) (where ^ ": cid echoed as the tag") true
+                (r.Wire.tag = Json.String (Option.get r.Wire.cid))
+          | (Raw _ | Refused), _ -> Alcotest.failf "%s: expected failed" where
+          | Op (Wire.Admit { budget_ms = Some 0.5; _ }), Wire.Shed _ -> ()
+          | Op (Wire.Admit { computation; _ }), Wire.Failed _
+            when computation.Computation.id = "poison" ->
+              ()
+          | Op (Wire.Admit { computation; _ }), _
+            when computation.Computation.id = "poison" ->
+              Alcotest.failf "%s: the poison admit must fail" where
+          | Op Wire.Ping, Wire.Pong -> ()
+          | Op (Wire.Query "stats"), reply ->
+              Alcotest.(check bool) (where ^ ": stats counts connections") true
+                (info_field "connections" reply = Some (Json.Int 3))
+          | Op Wire.Metrics, Wire.Metrics_snapshot _ -> ()
+          | Op (Wire.Admit _), Wire.Decided _
+          | Op (Wire.Release _), Wire.Released _
+          | Op (Wire.Join _), Wire.Joined _
+          | Op (Wire.Revoke _), Wire.Revoked _ ->
+              ()
+          | Op _, reply ->
+              Alcotest.failf "%s: unexpected reply %s" where
+                (Wire.response_to_line { r with Wire.reply })
+        )
+        sent got)
+    [ 1; 2; 3 ];
+  let count f = List.length (List.filter (fun (_, r) -> f r.Wire.reply) replies) in
+  Alcotest.(check int) "sheds" 3 (count (function Wire.Shed _ -> true | _ -> false));
+  Alcotest.(check bool) "admits decided" true
+    (count (function Wire.Decided { action = "admit"; _ } -> true | _ -> false) > 0);
+  Alcotest.(check bool) "a release answered" true
+    (count (function Wire.Released _ -> true | _ -> false) > 0);
+  Pipeline.close p
+
+(* Group commit: every decided reply a step returns already has its
+   record, with its cid, in the WAL file; and the snapshot cadence runs
+   between steps. *)
+let test_pipeline_group_commit () =
+  let dir = temp_dir "rota-pipe-commit" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let p = open_pipeline ~snapshot_every:16 dir in
+  List.iteri (fun k op -> Pipeline.submit p 0 (tagged k op)) (ops_of ~arrivals:150 ~seed:3 ());
+  let batches = ref 0 and decided = ref 0 in
+  while Pipeline.queued p > 0 do
+    let replies = Pipeline.step p in
+    incr batches;
+    let on_disk = Hashtbl.create 64 in
+    List.iter
+      (fun (_, _, cid) -> Option.iter (fun c -> Hashtbl.replace on_disk c ()) cid)
+      (wal_decisions dir);
+    List.iter
+      (fun (_, line) ->
+        let r = response line in
+        match (r.Wire.reply, r.Wire.cid) with
+        | Wire.Decided { id; _ }, Some cid ->
+            incr decided;
+            if not (Hashtbl.mem on_disk cid) then
+              Alcotest.failf "batch %d: %s (%s) answered before its record was written"
+                !batches id cid
+        | Wire.Decided { id; _ }, None -> Alcotest.failf "decision on %s without a cid" id
+        | _ -> ())
+      replies
+  done;
+  Alcotest.(check bool) "several batches" true (!batches > 2);
+  Alcotest.(check int) "one admit or reject record per decided reply" !decided
+    (List.length
+       (List.filter (fun (_, action, _) -> action = "admit" || action = "reject")
+          (wal_decisions dir)));
+  Alcotest.(check bool) "snapshot taken between steps" true
+    (Sys.file_exists (Wal.snapshot_path ~dir));
+  Pipeline.close p
+
+(* A pipeline dropped with lines still queued (a crash) loses only what
+   it never answered: recovery re-verifies everything with 0 diverged
+   and reaches the digest after the last returned batch; a new pipeline
+   serves on, and the offline audit verifies every decision. *)
+let test_pipeline_crash () =
+  let dir = temp_dir "rota-pipe-crash" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let ops = ops_of ~arrivals:80 ~seed:5 () in
+  let first, rest = List.partition (fun op -> op_time op < 60) ops in
+  let p = open_pipeline ~snapshot_every:32 dir in
+  List.iteri (fun k op -> Pipeline.submit p 0 (tagged k op)) first;
+  Pipeline.submit p 0 (tagged (-1) (Wire.Query "residual-digest"));
+  let served =
+    match List.rev (step_all p) with
+    | (_, line) :: _ -> digest_of (response line)
+    | [] -> Alcotest.fail "no replies"
+  in
+  List.iteri (fun k op -> Pipeline.submit p 0 (tagged k op)) rest;
+  (* Crash: the pipeline is dropped, never stepped or closed again. *)
+  match Wal.recover ~dir ~policy:Admission.Rota () with
+  | Error m -> Alcotest.failf "recover after the crash: %s" m
+  | Ok r ->
+      Alcotest.(check int) "0 diverged" 0 r.Wal.diverged;
+      Alcotest.(check string) "recovered to the last answered digest" served r.Wal.digest;
+      let p =
+        Pipeline.create ~dir ~snapshot_every:32 ~max_queue:512 ~default_budget_ms:250.
+          ~telemetry:false ~slo_budget:0.01 ~flight_capacity:256 r
+      in
+      List.iteri (fun k op -> Pipeline.submit p 0 (tagged k op)) rest;
+      ignore (step_all p);
+      Pipeline.close p;
+      (match Rota_audit.Audit.audit_file (Wal.wal_path ~dir) with
+      | Error _ -> Alcotest.fail "audit could not read the WAL"
+      | Ok report ->
+          Alcotest.(check int) "0 divergent" 0
+            (List.length report.Rota_audit.Audit.divergences);
+          Alcotest.(check int) "every decision verified"
+            (List.length (wal_decisions dir)) report.Rota_audit.Audit.verified)
+
+(* Each overload checkpoint answers [shed] with its own slug, logs
+   nothing, bumps [server/shed.<slug>], and fails nothing. *)
+let test_pipeline_overload () =
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Metrics.reset ();
+      Metrics.set_enabled false)
+  @@ fun () ->
+  let shed_count slug = Metrics.counter_value (Metrics.counter ("server/shed." ^ slug)) in
+  let check_sheds ~slug ?max_queue ?(pause = 0.) lines =
+    let dir = temp_dir "rota-pipe-shed" in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let p = open_pipeline ?max_queue ~telemetry:true dir in
+    let before = shed_count slug in
+    List.iteri (fun k op -> Pipeline.submit p 0 (tagged k op)) lines;
+    Unix.sleepf pause;
+    let replies = List.map (fun (_, l) -> response l) (step_all p) in
+    Pipeline.close p;
+    let sheds =
+      List.filter_map
+        (fun r -> match r.Wire.reply with Wire.Shed { id; _ } -> Some id | _ -> None)
+        replies
+    in
+    Alcotest.(check int) (slug ^ ": one reply per line") (List.length lines)
+      (List.length replies);
+    Alcotest.(check bool) (slug ^ ": nothing failed") false
+      (List.exists (fun r -> match r.Wire.reply with Wire.Failed _ -> true | _ -> false) replies);
+    Alcotest.(check bool) (slug ^ ": something shed") true (sheds <> []);
+    Alcotest.(check int) (slug ^ ": counted per shed") (List.length sheds)
+      (shed_count slug - before);
+    List.iter
+      (fun (id, _, _) ->
+        if List.mem id sheds then Alcotest.failf "%s: shed %s was logged" slug id)
+      (wal_decisions dir)
+  in
+  let admit ~budget_ms id =
+    match hasty_admit ~id ~now:0 with
+    | Wire.Admit a -> Wire.Admit { a with budget_ms }
+    | op -> op
+  in
+  check_sheds ~slug:"predicted-delay"
+    (List.init 3 (fun i -> admit ~budget_ms:(Some 0.5) (Printf.sprintf "p%d" i)));
+  check_sheds ~slug:"budget-spent" ~pause:0.05
+    [ admit ~budget_ms:(Some 20.) "b0"; admit ~budget_ms:(Some 20.) "b1" ];
+  check_sheds ~slug:"queue-full" ~max_queue:4
+    (List.init 4 (fun _ -> Wire.Ping) @ [ admit ~budget_ms:(Some 1e6) "q0" ])
+
+(* The descriptors this process holds open on [path]. *)
+let open_on path =
+  Array.fold_left
+    (fun n fd ->
+      match Unix.readlink (Filename.concat "/proc/self/fd" fd) with
+      | target when target = path -> n + 1
+      | _ | (exception Unix.Unix_error _) -> n)
+    0
+    (Sys.readdir "/proc/self/fd")
+
+(* A [shutdown] op starts the drain; [close] leaves the WAL complete,
+   released and snapshotted at its end, so recovery replays nothing and
+   reaches the served digest. *)
+let test_pipeline_drain () =
+  let dir = temp_dir "rota-pipe-drain" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let p = open_pipeline dir in
+  let ops = ops_of ~seed:11 () in
+  List.iteri (fun k op -> Pipeline.submit p 0 (tagged k op)) ops;
+  Pipeline.submit p 0 (tagged (-1) (Wire.Query "residual-digest"));
+  Pipeline.submit p 0 (tagged (-2) Wire.Shutdown);
+  Alcotest.(check bool) "not draining before the shutdown is decided" false
+    (Pipeline.draining p);
+  let replies = List.rev_map (fun (_, l) -> response l) (step_all p) in
+  Alcotest.(check bool) "draining" true (Pipeline.draining p);
+  let served =
+    match replies with
+    | { Wire.reply = Wire.Draining; _ } :: digest :: _ -> digest_of digest
+    | _ -> Alcotest.fail "expected the digest, then draining"
+  in
+  let wal = Unix.realpath (Wal.wal_path ~dir) in
+  Alcotest.(check int) "the WAL is open while serving" 1 (open_on wal);
+  Pipeline.close p;
+  Alcotest.(check int) "close releases the WAL" 0 (open_on wal);
+  match Wal.recover ~dir ~policy:Admission.Rota () with
+  | Error m -> Alcotest.failf "recover after the drain: %s" m
+  | Ok r ->
+      Wal.close r.Wal.writer;
+      Alcotest.(check int) "0 diverged" 0 r.Wal.diverged;
+      Alcotest.(check bool) "from the closing snapshot" true r.Wal.from_snapshot;
+      Alcotest.(check int) "nothing past the snapshot" 0 r.Wal.replayed;
+      Alcotest.(check string) "served digest" served r.Wal.digest
+
 let () =
   Alcotest.run "server"
     [
@@ -986,6 +1391,21 @@ let () =
             test_apply_total;
           Alcotest.test_case "poison line leaves the daemon serving" `Quick
             test_poison_line_survived;
+          Alcotest.test_case "unread replies bounded, drain not held" `Quick
+            test_unread_replies_bounded;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "one reply per line, in order" `Quick
+            test_pipeline_one_reply_in_order;
+          Alcotest.test_case "replies follow their fsync" `Quick
+            test_pipeline_group_commit;
+          Alcotest.test_case "crash loses only unanswered lines" `Quick
+            test_pipeline_crash;
+          Alcotest.test_case "overload sheds by slug" `Quick
+            test_pipeline_overload;
+          Alcotest.test_case "shutdown drains and closes" `Quick
+            test_pipeline_drain;
         ] );
       ( "scrape",
         [
